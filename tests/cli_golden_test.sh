@@ -106,6 +106,32 @@ check run_instances.tsv run_instances.tsv
 check run_relations.tsv run_relations.tsv
 check run_classes.tsv run_classes.tsv
 
+# --- evidence and matcher modes -------------------------------------------
+# Exact bytes beyond the default identity/positive-evidence run: negative
+# evidence (Eq. 14), the relation-name prior (bootstrap scores above θ), and
+# the fuzzy matcher (literal equivalences with p < 1 inside every factor).
+for mode in negative-evidence name-prior matcher-fuzzy; do
+  case $mode in
+    negative-evidence) flags=(--negative-evidence) ;;
+    name-prior) flags=(--name-prior) ;;
+    matcher-fuzzy) flags=(--matcher fuzzy) ;;
+  esac
+  run "${mode}_stdout_raw.txt" "$ALIGN" rest_left.nt rest_right.nt "${flags[@]}" --output "$mode"
+  mask < "${mode}_stdout_raw.txt" > "${mode}_stdout.txt"
+  check "${mode}_stdout.txt" "${mode}_stdout.txt"
+  for t in instances relations classes; do
+    check "${mode}_${t}.tsv" "${mode}_${t}.tsv"
+  done
+done
+
+# The same fuzzy run on 4 threads over 7 shards must match those goldens.
+run mt_stdout_raw.txt "$ALIGN" rest_left.nt rest_right.nt --matcher fuzzy --threads 4 --shards 7 --output mt
+mask < mt_stdout_raw.txt | sed 's/^wrote mt_/wrote matcher-fuzzy_/' > mt_stdout.txt
+check matcher-fuzzy_stdout.txt mt_stdout.txt
+for t in instances relations classes; do
+  check "matcher-fuzzy_${t}.tsv" "mt_${t}.tsv"
+done
+
 if [ "$UPDATE" = "--update" ]; then
   echo "goldens updated in $GOLDEN"
   exit 0
