@@ -7,8 +7,8 @@
 // observability overhead (the same run with tracing + metrics on vs off,
 // reported as a fraction) and the periodic-background-checkpointing
 // overhead (run_checkpointed vs plain, reported the same way; the CI gate
-// caps checkpoint_overhead_fraction at 5%). Gives future PRs a perf
-// trajectory; the
+// caps checkpoint_overhead_fraction at 5%), both the median of ten
+// interleaved pairs. Gives future PRs a perf trajectory; the
 // committed baselines live in BENCH_parallel.json (one entry per
 // hardware_threads value), which the CI bench job compares fresh runs
 // against (matching hardware_threads only; see
@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <system_error>
 #include <string>
@@ -91,6 +92,51 @@ struct StoreWorkload {
     parse_seconds = timer.End();
   }
 };
+
+// The cost a feature adds to a run: the median of kOverheadPairs
+// interleaved (off, on) pairs. Interleaving shares thermal and cache
+// conditions between the two sides of a pair; the median of the per-pair
+// fractions (on - off) / off, clamped at 0, is robust to the odd slow run
+// that a best-of-N of a ~1 s run is not.
+constexpr int kOverheadPairs = 10;
+
+struct Overhead {
+  double off_seconds = 0;   // median wall time without the feature
+  double on_seconds = 0;    // median wall time with it
+  double fraction = 0;      // median per-pair overhead fraction
+  bool same_result = true;  // every run aligned the same number of entities
+};
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t n = values.size();
+  return n % 2 == 1 ? values[n / 2] : (values[n / 2 - 1] + values[n / 2]) / 2;
+}
+
+// `run_off` / `run_on` each perform one run and return its number of
+// aligned left entities.
+Overhead MeasureOverhead(const std::function<size_t()>& run_off,
+                         const std::function<size_t()>& run_on) {
+  std::vector<double> off, on, fractions;
+  Overhead result;
+  size_t aligned = 0;
+  for (int rep = 0; rep < kOverheadPairs; ++rep) {
+    obs::Span off_timer(nullptr, 0, "bench", "overhead_off");
+    const size_t aligned_off = run_off();
+    off.push_back(off_timer.End());
+    obs::Span on_timer(nullptr, 0, "bench", "overhead_on");
+    const size_t aligned_on = run_on();
+    on.push_back(on_timer.End());
+    fractions.push_back(std::max(0.0, (on.back() - off.back()) / off.back()));
+    if (rep == 0) aligned = aligned_off;
+    result.same_result = result.same_result && aligned_off == aligned &&
+                         aligned_on == aligned;
+  }
+  result.off_seconds = Median(off);
+  result.on_seconds = Median(on);
+  result.fraction = Median(fractions);
+  return result;
+}
 
 void Emit(std::FILE* out, const std::vector<PhaseTime>& phases,
           size_t triples_store, size_t triples_pair, size_t hardware) {
@@ -246,52 +292,42 @@ int Main(int argc, char** argv) {
   std::remove(snap_path.c_str());
 
   // --- Observability overhead ----------------------------------------------
-  // The same fixed-work run with tracing + metrics off vs on, interleaved
-  // to share thermal/cache conditions, best-of-3 each. The acceptance bar
-  // for the obs subsystem is under 1% overhead; "obs_overhead_fraction"
-  // reports the measured fraction (as the phase's "seconds" value).
+  // The same fixed-work run with tracing + metrics off vs on, as the median
+  // of kOverheadPairs interleaved pairs (see MeasureOverhead).
+  // "obs_overhead_fraction" reports the measured fraction (as the phase's
+  // "seconds" value).
   {
     core::AlignmentConfig config;
     config.num_threads = 1;
     config.max_iterations = 3;
     config.convergence_threshold = 0.0;
     config.record_history = false;
-    double best_off = 0, best_on = 0;
-    size_t aligned_off = 0, aligned_on = 0;
-    for (int rep = 0; rep < 3; ++rep) {
-      {
-        obs::Span timer(nullptr, 0, "bench", "run_obs_off");
-        core::Aligner aligner(*pair->left, *pair->right, config);
-        aligned_off = aligner.Run().instances.num_left_aligned();
-        const double seconds = timer.End();
-        best_off = rep == 0 ? seconds : std::min(best_off, seconds);
-      }
-      {
-        obs::TraceRecorder trace(config.num_threads);
-        obs::MetricsRegistry metrics(config.num_threads);
-        obs::Span timer(nullptr, 0, "bench", "run_obs_on");
-        core::Aligner aligner(*pair->left, *pair->right, config);
-        aligner.set_observability({&trace, &metrics});
-        aligned_on = aligner.Run().instances.num_left_aligned();
-        const double seconds = timer.End();
-        best_on = rep == 0 ? seconds : std::min(best_on, seconds);
-      }
-    }
-    if (aligned_on != aligned_off) {
+    const Overhead obs_overhead = MeasureOverhead(
+        [&] {
+          core::Aligner aligner(*pair->left, *pair->right, config);
+          return aligner.Run().instances.num_left_aligned();
+        },
+        [&] {
+          obs::TraceRecorder trace(config.num_threads);
+          obs::MetricsRegistry metrics(config.num_threads);
+          core::Aligner aligner(*pair->left, *pair->right, config);
+          aligner.set_observability({&trace, &metrics});
+          return aligner.Run().instances.num_left_aligned();
+        });
+    if (!obs_overhead.same_result) {
       std::fprintf(stderr, "observability changed the alignment result\n");
       return 1;
     }
-    phases.push_back({"run_obs_off", 1, best_off});
-    phases.push_back({"run_obs_on", 1, best_on});
-    phases.push_back({"obs_overhead_fraction", 1,
-                      std::max(0.0, (best_on - best_off) / best_off)});
+    phases.push_back({"run_obs_off", 1, obs_overhead.off_seconds});
+    phases.push_back({"run_obs_on", 1, obs_overhead.on_seconds});
+    phases.push_back({"obs_overhead_fraction", 1, obs_overhead.fraction});
   }
 
   // --- Checkpoint overhead -------------------------------------------------
   // The same fixed-work run with periodic background checkpointing off vs
-  // on, interleaved best-of-3 like the obs measurement. Serialization
-  // happens on the gate thread but the fsync'd writes run on a background
-  // thread, so the bar is under 5% overhead; the CI regression gate caps
+  // on, measured like the obs overhead. Serialization happens on the gate
+  // thread but the fsync'd writes run on a background thread, so the bar is
+  // under 5% overhead; the CI regression gate caps
   // "checkpoint_overhead_fraction" at that value. The aggressive interval
   // leans on the writer's self-limiting cadence (captures spaced >= 100x
   // the measured serialization cost) — exactly the mechanism that keeps
@@ -305,33 +341,24 @@ int Main(int argc, char** argv) {
     core::AlignmentConfig ckpt_config = config;
     ckpt_config.checkpoint_dir = "/tmp/bench_parallel_ckpt";
     ckpt_config.checkpoint_interval = 0.05;
-    double best_off = 0, best_on = 0;
-    size_t aligned_off = 0, aligned_on = 0;
-    for (int rep = 0; rep < 3; ++rep) {
-      {
-        obs::Span timer(nullptr, 0, "bench", "run_plain");
-        core::Aligner aligner(*pair->left, *pair->right, config);
-        aligned_off = aligner.Run().instances.num_left_aligned();
-        const double seconds = timer.End();
-        best_off = rep == 0 ? seconds : std::min(best_off, seconds);
-      }
-      {
-        obs::Span timer(nullptr, 0, "bench", "run_checkpointed");
-        core::Aligner aligner(*pair->left, *pair->right, ckpt_config);
-        aligned_on = aligner.Run().instances.num_left_aligned();
-        const double seconds = timer.End();
-        best_on = rep == 0 ? seconds : std::min(best_on, seconds);
-      }
-    }
+    const Overhead ckpt_overhead = MeasureOverhead(
+        [&] {
+          core::Aligner aligner(*pair->left, *pair->right, config);
+          return aligner.Run().instances.num_left_aligned();
+        },
+        [&] {
+          core::Aligner aligner(*pair->left, *pair->right, ckpt_config);
+          return aligner.Run().instances.num_left_aligned();
+        });
     std::error_code ec;
     std::filesystem::remove_all(ckpt_config.checkpoint_dir, ec);
-    if (aligned_on != aligned_off) {
+    if (!ckpt_overhead.same_result) {
       std::fprintf(stderr, "checkpointing changed the alignment result\n");
       return 1;
     }
-    phases.push_back({"run_checkpointed", 1, best_on});
-    phases.push_back({"checkpoint_overhead_fraction", 1,
-                      std::max(0.0, (best_on - best_off) / best_off)});
+    phases.push_back({"run_checkpointed", 1, ckpt_overhead.on_seconds});
+    phases.push_back(
+        {"checkpoint_overhead_fraction", 1, ckpt_overhead.fraction});
   }
 
   // --- Semi-naive converged-iteration cost ---------------------------------

@@ -164,10 +164,17 @@ CheckpointWriter::CheckpointWriter(Options options,
 #endif
   // Continue the journal of a previous (interrupted) run in this
   // directory rather than reusing its sequence numbers.
-  for (const ManifestEntry& entry :
-       ReadManifest(options_.dir + "/" + kManifestName)) {
+  const std::string manifest = options_.dir + "/" + kManifestName;
+  for (const ManifestEntry& entry : ReadManifest(manifest)) {
     next_seq_ = std::max(next_seq_, entry.seq + 1);
   }
+  // The journal exists from the moment checkpointing starts, so a run that
+  // ends before its first capture leaves an empty journal, not none: a
+  // reader can tell "checkpointing on, nothing captured" from "never
+  // checkpointed". LoadLatestCheckpoint treats an empty journal like a
+  // missing one. Best-effort like every checkpoint write; a failure here
+  // resurfaces at the first append.
+  std::ofstream(manifest, std::ios::binary | std::ios::app);
   worker_ = std::thread([this] { WorkerLoop(); });
 }
 

@@ -33,7 +33,8 @@ namespace paris::core {
 //   ckpt-<seq>.result   complete result snapshots (result_snapshot.h
 //                       format, written via util::AtomicFileWriter)
 //   MANIFEST            append-only journal, one "<seq>\t<filename>" line
-//                       per durable checkpoint, fsync'd after each append
+//                       per durable checkpoint, fsync'd after each append;
+//                       created (empty) when the writer starts
 //
 // A checkpoint file is only journaled after its atomic rename, so every
 // manifest entry names a file that was complete and durable when the line

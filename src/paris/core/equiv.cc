@@ -6,63 +6,86 @@
 
 namespace paris::core {
 
+const InstanceEquivalences::Tables& InstanceEquivalences::tables() const {
+  static const Tables kEmpty;
+  return tables_ != nullptr ? *tables_ : kEmpty;
+}
+
+InstanceEquivalences::Tables& InstanceEquivalences::MutableTables() {
+  assert(!finalized_);
+  if (tables_ == nullptr) {
+    tables_ = std::make_shared<Tables>();
+  } else if (tables_.use_count() > 1) {
+    tables_ = std::make_shared<Tables>(*tables_);
+  }
+  return *tables_;
+}
+
 void InstanceEquivalences::Set(rdf::TermId left,
                                std::vector<Candidate> candidates) {
   assert(!finalized_);
   if (candidates.empty()) return;
-  left_to_right_[left] = std::move(candidates);
+  MutableTables().left_to_right[left] = std::move(candidates);
 }
 
 void InstanceEquivalences::Finalize() {
   assert(!finalized_);
+  Tables& t = MutableTables();
   // Transpose.
-  for (const auto& [left, candidates] : left_to_right_) {
+  t.right_to_left.reserve(t.left_to_right.size());
+  for (const auto& [left, candidates] : t.left_to_right) {
     for (const Candidate& c : candidates) {
-      right_to_left_[c.other].push_back(Candidate{left, c.prob});
+      t.right_to_left[c.other].push_back(Candidate{left, c.prob});
     }
   }
   auto better = [](const Candidate& a, const Candidate& b) {
     return a.prob != b.prob ? a.prob > b.prob : a.other < b.other;
   };
-  for (auto& [right, candidates] : right_to_left_) {
+  for (auto& [right, candidates] : t.right_to_left) {
     std::sort(candidates.begin(), candidates.end(), better);
   }
   // Maximal assignments (first element after sorting = deterministic
   // arbitrary tie-break, §4.2).
-  for (const auto& [left, candidates] : left_to_right_) {
-    max_left_.emplace(left, candidates.front());
+  t.max_left.reserve(t.left_to_right.size());
+  t.max_right.reserve(t.right_to_left.size());
+  for (const auto& [left, candidates] : t.left_to_right) {
+    t.max_left.emplace(left, candidates.front());
   }
-  for (const auto& [right, candidates] : right_to_left_) {
-    max_right_.emplace(right, candidates.front());
+  for (const auto& [right, candidates] : t.right_to_left) {
+    t.max_right.emplace(right, candidates.front());
   }
   finalized_ = true;
 }
 
 std::span<const Candidate> InstanceEquivalences::LeftToRight(
     rdf::TermId left) const {
-  auto it = left_to_right_.find(left);
-  if (it == left_to_right_.end()) return {};
+  const auto& map = tables().left_to_right;
+  auto it = map.find(left);
+  if (it == map.end()) return {};
   return {it->second.data(), it->second.size()};
 }
 
 std::span<const Candidate> InstanceEquivalences::RightToLeft(
     rdf::TermId right) const {
   assert(finalized_);
-  auto it = right_to_left_.find(right);
-  if (it == right_to_left_.end()) return {};
+  const auto& map = tables().right_to_left;
+  auto it = map.find(right);
+  if (it == map.end()) return {};
   return {it->second.data(), it->second.size()};
 }
 
 const Candidate* InstanceEquivalences::MaxOfLeft(rdf::TermId left) const {
   assert(finalized_);
-  auto it = max_left_.find(left);
-  return it == max_left_.end() ? nullptr : &it->second;
+  const auto& map = tables().max_left;
+  auto it = map.find(left);
+  return it == map.end() ? nullptr : &it->second;
 }
 
 const Candidate* InstanceEquivalences::MaxOfRight(rdf::TermId right) const {
   assert(finalized_);
-  auto it = max_right_.find(right);
-  return it == max_right_.end() ? nullptr : &it->second;
+  const auto& map = tables().max_right;
+  auto it = map.find(right);
+  return it == map.end() ? nullptr : &it->second;
 }
 
 double InstanceEquivalences::MaxAssignmentChangeFraction(
@@ -70,16 +93,16 @@ double InstanceEquivalences::MaxAssignmentChangeFraction(
   assert(finalized_ && previous.finalized_);
   size_t universe = 0;
   size_t changed = 0;
-  for (const auto& [left, candidate] : max_left_) {
+  for (const auto& [left, candidate] : tables().max_left) {
     ++universe;
-    auto it = previous.max_left_.find(left);
-    if (it == previous.max_left_.end() ||
+    auto it = previous.tables().max_left.find(left);
+    if (it == previous.tables().max_left.end() ||
         it->second.other != candidate.other) {
       ++changed;
     }
   }
-  for (const auto& [left, candidate] : previous.max_left_) {
-    if (!max_left_.contains(left)) {
+  for (const auto& [left, candidate] : previous.tables().max_left) {
+    if (!tables().max_left.contains(left)) {
       ++universe;
       ++changed;
     }
@@ -111,13 +134,13 @@ void DiffListMaps(
 
 void InstanceEquivalences::DiffLeftTerms(const InstanceEquivalences& other,
                                          std::vector<rdf::TermId>* out) const {
-  DiffListMaps(left_to_right_, other.left_to_right_, out);
+  DiffListMaps(tables().left_to_right, other.tables().left_to_right, out);
 }
 
 void InstanceEquivalences::DiffRightTerms(const InstanceEquivalences& other,
                                           std::vector<rdf::TermId>* out) const {
   assert(finalized_ && other.finalized_);
-  DiffListMaps(right_to_left_, other.right_to_left_, out);
+  DiffListMaps(tables().right_to_left, other.tables().right_to_left, out);
 }
 
 InstanceEquivalences BlendEquivalences(const InstanceEquivalences& previous,
@@ -128,8 +151,8 @@ InstanceEquivalences BlendEquivalences(const InstanceEquivalences& previous,
   InstanceEquivalences out;
   // Union of left keys.
   std::unordered_set<rdf::TermId> lefts;
-  for (const auto& [l, cs] : previous.left_to_right_) lefts.insert(l);
-  for (const auto& [l, cs] : fresh.left_to_right_) lefts.insert(l);
+  for (const auto& [l, cs] : previous.tables().left_to_right) lefts.insert(l);
+  for (const auto& [l, cs] : fresh.tables().left_to_right) lefts.insert(l);
 
   auto better = [](const Candidate& a, const Candidate& b) {
     return a.prob != b.prob ? a.prob > b.prob : a.other < b.other;

@@ -2,6 +2,7 @@
 #define PARIS_CORE_EQUIV_H_
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -66,14 +67,14 @@ class InstanceEquivalences {
   const Candidate* MaxOfRight(rdf::TermId right) const;
 
   const std::unordered_map<rdf::TermId, Candidate>& max_left() const {
-    return max_left_;
+    return tables().max_left;
   }
   const std::unordered_map<rdf::TermId, Candidate>& max_right() const {
-    return max_right_;
+    return tables().max_right;
   }
 
   // Number of left instances with at least one candidate.
-  size_t num_left_aligned() const { return left_to_right_.size(); }
+  size_t num_left_aligned() const { return tables().left_to_right.size(); }
 
   // Fraction of left entities whose maximal assignment differs from
   // `previous` (the convergence criterion of §5.1/§6.1). The denominator is
@@ -103,11 +104,25 @@ class InstanceEquivalences {
   friend util::StatusOr<InstanceEquivalences> LoadInstanceEquivalences(
       storage::SnapshotReader& reader, size_t pool_size);
 
+  struct Tables {
+    std::unordered_map<rdf::TermId, std::vector<Candidate>> left_to_right;
+    std::unordered_map<rdf::TermId, std::vector<Candidate>> right_to_left;
+    std::unordered_map<rdf::TermId, Candidate> max_left;
+    std::unordered_map<rdf::TermId, Candidate> max_right;
+  };
+
+  // The tables, empty when `tables_` is null (a default-constructed or
+  // moved-from store).
+  const Tables& tables() const;
+  // The tables for Set/Finalize to write, first cloned if another store
+  // shares them.
+  Tables& MutableTables();
+
   bool finalized_ = false;
-  std::unordered_map<rdf::TermId, std::vector<Candidate>> left_to_right_;
-  std::unordered_map<rdf::TermId, std::vector<Candidate>> right_to_left_;
-  std::unordered_map<rdf::TermId, Candidate> max_left_;
-  std::unordered_map<rdf::TermId, Candidate> max_right_;
+  // Shared between copies. A finalized store is immutable, so copying one
+  // costs a reference count, not a deep copy: the semi-naive fixpoint
+  // hands the same store around every iteration once it has converged.
+  std::shared_ptr<Tables> tables_;
 };
 
 // Dampened fixpoint update (the convergence device §5.1 mentions): returns

@@ -1,6 +1,7 @@
 #include "paris/core/instance_align.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -19,52 +20,81 @@ struct ExpandedFact {
   std::vector<Candidate> equivalents;  // y' with Pr(y ≡ y') > 0
 };
 
-// Per-worker scratch, owned by the IterationContext so the containers'
-// capacity survives across shards and iterations. Bucket layouts therefore
-// depend on what a worker processed before — harmless, because every
-// consumer below sorts (or keys) its output instead of leaking map order.
+// Per-worker scratch, owned by the IterationContext so the buffers'
+// capacity survives across shards and iterations.
 struct InstanceShardScratch {
   std::vector<ExpandedFact> expanded;
-  std::unordered_map<rdf::TermId, double> product;
+
+  // The positive-evidence accumulator of the current left instance x: the
+  // running product of Eq. 13's factors per candidate x', indexed by x''s
+  // position in right.instances(). A slot is live for x only while its
+  // stamp equals `epoch`, which advances once per instance, so moving on
+  // to the next x costs an increment instead of a clear. `touched` lists
+  // x's live positions in first-touch order; nothing downstream depends on
+  // that order, because the candidates are sorted by a total order.
+  struct Slot {
+    double product = 1.0;
+    uint32_t stamp = 0;
+  };
+  std::vector<Slot> slots;
+  std::vector<uint32_t> touched;
+  uint32_t epoch = 0;
+
+  // Makes every slot dead; call before accumulating a new instance.
+  void NextInstance() {
+    touched.clear();
+    if (++epoch == 0) {  // wrapped: a stale stamp could now read as live
+      for (Slot& slot : slots) slot.stamp = 0;
+      epoch = 1;
+    }
+  }
+
+  void Multiply(uint32_t position, double factor) {
+    Slot& slot = slots[position];
+    if (slot.stamp != epoch) {
+      slot.stamp = epoch;
+      slot.product = factor;  // == 1.0 * factor, exactly
+      touched.push_back(position);
+    } else {
+      slot.product *= factor;
+    }
+  }
 };
 
 namespace {
 
-// Computes the positive-evidence score of Eq. (13) for every candidate x',
-// returning candidate → ∏ (1 - Pr(r'⊆r)·fun⁻¹(r)·Pr(y≡y'))
-//                        (1 - Pr(r⊆r')·fun⁻¹(r')·Pr(y≡y')).
-void AccumulatePositiveEvidence(
-    const std::vector<ExpandedFact>& facts, const ontology::Ontology& left,
-    const ontology::Ontology& right, const RelationScores& rel_scores,
-    const AlignmentConfig& config,
-    std::unordered_map<rdf::TermId, double>* product) {
-  const auto variant = config.functionality_variant;
+// Computes the positive-evidence product of Eq. (13) for every candidate x'
+// of one left instance into `scratch`'s accumulator:
+//   ∏ (1 - Pr(r'⊆r)·fun⁻¹(r)·Pr(y≡y')) (1 - Pr(r⊆r')·fun⁻¹(r')·Pr(y≡y')).
+// No hashing: the neighbour's adjacency, its instance position and the
+// pair's coefficients are dense lookups. Returns the number of neighbour
+// facts examined.
+uint64_t AccumulatePositiveEvidence(
+    const std::vector<ExpandedFact>& facts, const ontology::Ontology& right,
+    const FactorCoefficientTable& coefficients, size_t max_neighbor_fanout,
+    InstanceShardScratch* scratch) {
+  uint64_t visited = 0;
   for (const ExpandedFact& ef : facts) {
-    const double fun_inv_r =
-        left.functionality().GlobalInverse(ef.rel, variant);
+    const FactorCoefficients* row = coefficients.Row(ef.rel);
     for (const Candidate& y_eq : ef.equivalents) {
       const auto neighbor_facts = right.FactsAbout(y_eq.other);
-      if (neighbor_facts.size() > config.max_neighbor_fanout) continue;
+      if (neighbor_facts.size() > max_neighbor_fanout) continue;
+      visited += neighbor_facts.size();
       for (const rdf::Fact& nf : neighbor_facts) {
         // Adjacency entry nf = (rt, x') of y' encodes statement rt(y', x'),
-        // i.e. r'(x', y') with r' = rt⁻¹.
-        const rdf::RelId r_prime = rdf::Inverse(nf.rel);
-        const rdf::TermId x_prime = nf.other;
-        if (!right.IsInstanceTerm(x_prime)) continue;
-        const double p_sub_rl = rel_scores.SubRightLeft(r_prime, ef.rel);
-        const double p_sub_lr = rel_scores.SubLeftRight(ef.rel, r_prime);
-        if (p_sub_rl <= 0.0 && p_sub_lr <= 0.0) continue;
-        const double fun_inv_rp =
-            right.functionality().GlobalInverse(r_prime, variant);
+        // i.e. r'(x', y') with r' = rt⁻¹; the row is indexed by rt.
+        const FactorCoefficients& c = row[nf.rel];
+        if (c.skip) continue;
+        const uint32_t position = right.InstancePosition(nf.other);
+        if (position == ontology::Ontology::kNoInstance) continue;
         const double factor =
-            (1.0 - p_sub_rl * fun_inv_r * y_eq.prob) *
-            (1.0 - p_sub_lr * fun_inv_rp * y_eq.prob);
+            (1.0 - c.a * y_eq.prob) * (1.0 - c.b * y_eq.prob);
         if (factor >= 1.0) continue;
-        auto [it, inserted] = product->emplace(x_prime, 1.0);
-        it->second *= factor;
+        scratch->Multiply(position, factor);
       }
     }
   }
+  return visited;
 }
 
 // The negative-evidence multiplier of Eq. (14) for one candidate x'.
@@ -125,10 +155,51 @@ double NegativeEvidenceFactor(
 
 }  // namespace
 
+void FactorCoefficientTable::Build(const ontology::Ontology& left,
+                                   const ontology::Ontology& right,
+                                   const RelationScores& scores,
+                                   ontology::FunctionalityVariant variant) {
+  const auto num_left = static_cast<rdf::RelId>(left.num_relations());
+  const auto num_right = static_cast<rdf::RelId>(right.num_relations());
+  right_bound_ = num_right;
+  stride_ = 2 * static_cast<size_t>(num_right) + 1;
+  left_bound_ = num_left;
+  entries_.assign((2 * static_cast<size_t>(num_left) + 1) * stride_,
+                  FactorCoefficients{});
+  // fun⁻¹(r') per right adjacency relation rt, where r' = rt⁻¹.
+  std::vector<double> fun_inv_right(stride_, 0.0);
+  for (rdf::RelId rt = -num_right; rt <= num_right; ++rt) {
+    if (rt == rdf::kNullRel) continue;
+    fun_inv_right[static_cast<size_t>(rt + num_right)] =
+        right.functionality().GlobalInverse(rdf::Inverse(rt), variant);
+  }
+  for (rdf::RelId r = -num_left; r <= num_left; ++r) {
+    if (r == rdf::kNullRel) continue;
+    const double fun_inv_r = left.functionality().GlobalInverse(r, variant);
+    FactorCoefficients* row =
+        &entries_[static_cast<size_t>(r + num_left) * stride_ +
+                  static_cast<size_t>(num_right)];
+    for (rdf::RelId rt = -num_right; rt <= num_right; ++rt) {
+      if (rt == rdf::kNullRel) continue;
+      const rdf::RelId r_prime = rdf::Inverse(rt);
+      // Through the table's own lookups, so bootstrap θ and the name
+      // prior apply here exactly as they do to every score read.
+      const double p_sub_rl = scores.SubRightLeft(r_prime, r);
+      const double p_sub_lr = scores.SubLeftRight(r, r_prime);
+      FactorCoefficients& c = row[rt];
+      c.a = p_sub_rl * fun_inv_r;
+      c.b = p_sub_lr * fun_inv_right[static_cast<size_t>(rt + num_right)];
+      c.skip = p_sub_rl <= 0.0 && p_sub_lr <= 0.0;
+    }
+  }
+}
+
 size_t InstancePass::Prepare(IterationContext& ctx) {
   const AlignmentConfig& config = *ctx.config;
   layout_ = ShardLayout::Make(ctx.left->instances().size(), config.num_shards);
   l2r_ = ctx.Direction(true, ctx.previous);
+  coefficients_.Build(*ctx.left, *ctx.right, *ctx.rel_scores,
+                      config.functionality_variant);
 
   // Each left relation's maximally contained counterpart on the right, in
   // both containment directions, for the negative-evidence pass. Only
@@ -172,11 +243,22 @@ size_t InstancePass::Prepare(IterationContext& ctx) {
            ctx.worklist->instances_active && have_results_[gen_] &&
            results_[gen_].size() == layout_.total &&
            ctx.worklist->dirty_instances.size() == layout_.total;
+  all_clean_ = reuse_ && std::all_of(ctx.worklist->dirty_instances.begin(),
+                                     ctx.worklist->dirty_instances.end(),
+                                     [](uint8_t dirty) { return dirty == 0; });
   results_[gen_].resize(layout_.total);
   if (!reuse_) {
     for (auto& slot : results_[gen_]) slot.clear();
   }
   scratch_ = &ctx.ScratchSlots<InstanceShardScratch>();  // serial phase
+  // One accumulator slot per right instance; a right-side delta adds
+  // instances, so the size is re-checked every iteration.
+  const size_t right_instances = ctx.right->instances().size();
+  for (InstanceShardScratch& scratch : *scratch_) {
+    if (scratch.slots.size() < right_instances) {
+      scratch.slots.resize(right_instances);
+    }
+  }
   if (ctx.obs.metrics != nullptr) {  // serial phase: registration may allocate
     entities_scored_ = ctx.obs.metrics->Counter("instance.entities_scored");
     entities_reused_ = ctx.obs.metrics->Counter("instance.entities_reused");
@@ -184,6 +266,9 @@ size_t InstancePass::Prepare(IterationContext& ctx) {
         ctx.obs.metrics->Counter("instance.entities_with_candidates");
     candidates_emitted_ =
         ctx.obs.metrics->Counter("instance.candidates_emitted");
+    neighbor_facts_visited_ =
+        ctx.obs.metrics->Counter("instance.neighbor_facts_visited");
+    keys_created_ = ctx.obs.metrics->Counter("instance.keys_created");
   }
   return layout_.num_shards;
 }
@@ -191,6 +276,7 @@ size_t InstancePass::Prepare(IterationContext& ctx) {
 void InstancePass::SeedResults(const ontology::Ontology& left,
                                const InstanceEquivalences& seed) {
   const std::vector<rdf::TermId>& instances = left.instances();
+  have_merged_ = {false, false};
   for (size_t g = 0; g < 2; ++g) {
     results_[g].assign(instances.size(), {});
     for (size_t i = 0; i < instances.size(); ++i) {
@@ -206,14 +292,15 @@ void InstancePass::RunShard(size_t shard, size_t worker,
   const ontology::Ontology& left = *ctx.left;
   const ontology::Ontology& right = *ctx.right;
   const AlignmentConfig& config = *ctx.config;
-  const RelationScores& rel_scores = *ctx.rel_scores;
   const std::vector<rdf::TermId>& instances = left.instances();
+  const std::vector<rdf::TermId>& right_instances = right.instances();
   InstanceShardScratch& scratch = (*scratch_)[worker];
   std::vector<ExpandedFact>& expanded = scratch.expanded;
-  std::unordered_map<rdf::TermId, double>& product = scratch.product;
 
   std::vector<std::vector<Candidate>>& results = results_[gen_];
   size_t computed = 0;
+  uint64_t visited = 0;
+  uint64_t keys = 0;
   for (size_t i = layout_.begin(shard); i < layout_.end(shard); ++i) {
     // Clean instance: the retained slot (from the previous same-parity
     // iteration) already holds exactly what this iteration would recompute.
@@ -222,7 +309,6 @@ void InstancePass::RunShard(size_t shard, size_t worker,
     ++computed;
     results[i].clear();
     expanded.clear();
-    product.clear();
     for (const rdf::Fact& f : left.FactsAbout(x)) {
       ExpandedFact ef;
       ef.rel = f.rel;
@@ -241,14 +327,18 @@ void InstancePass::RunShard(size_t shard, size_t worker,
     }
     if (expanded.empty()) continue;
 
-    AccumulatePositiveEvidence(expanded, left, right, rel_scores, config,
-                               &product);
-    if (product.empty()) continue;
+    scratch.NextInstance();
+    visited += AccumulatePositiveEvidence(expanded, right, coefficients_,
+                                          config.max_neighbor_fanout,
+                                          &scratch);
+    keys += scratch.touched.size();
+    if (scratch.touched.empty()) continue;
 
     std::vector<Candidate> candidates;
-    candidates.reserve(product.size());
-    for (const auto& [x_prime, prod] : product) {
-      double score = 1.0 - prod;
+    candidates.reserve(scratch.touched.size());
+    for (const uint32_t position : scratch.touched) {
+      const rdf::TermId x_prime = right_instances[position];
+      double score = 1.0 - scratch.slots[position].product;
       if (config.use_negative_evidence) {
         score *= NegativeEvidenceFactor(expanded, left, right,
                                         best_.right_sub_left,
@@ -282,10 +372,16 @@ void InstancePass::RunShard(size_t shard, size_t worker,
                          layout_.end(shard) - layout_.begin(shard) - computed);
     ctx.obs.metrics->Add(entities_with_candidates_, worker, with_candidates);
     ctx.obs.metrics->Add(candidates_emitted_, worker, emitted);
+    ctx.obs.metrics->Add(neighbor_facts_visited_, worker, visited);
+    ctx.obs.metrics->Add(keys_created_, worker, keys);
   }
 }
 
 void InstancePass::Merge(IterationContext& ctx) {
+  if (all_clean_ && have_merged_[gen_]) {
+    ctx.current = merged_[gen_];
+    return;
+  }
   const std::vector<rdf::TermId>& instances = ctx.left->instances();
   // Under semi_naive the slots are copied, not drained: the next iteration
   // reuses them for instances its worklist marks clean.
@@ -303,6 +399,8 @@ void InstancePass::Merge(IterationContext& ctx) {
   equiv.Finalize();
   ctx.current = std::move(equiv);
   have_results_[gen_] = keep;
+  merged_[gen_] = keep ? ctx.current : InstanceEquivalences();
+  have_merged_[gen_] = keep;
 }
 
 void InstancePass::SaveShard(size_t shard, std::string* out) const {
@@ -352,6 +450,7 @@ bool InstancePass::LoadShard(size_t shard, std::string_view bytes,
   for (size_t i = layout_.begin(shard); i < layout_.end(shard); ++i) {
     results_[gen_][i] = std::move(staged[i - layout_.begin(shard)]);
   }
+  all_clean_ = false;
   return true;
 }
 

@@ -2,6 +2,7 @@
 #define PARIS_CORE_INSTANCE_ALIGN_H_
 
 #include <array>
+#include <cassert>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -21,6 +22,43 @@ namespace paris::core {
 // owned by the IterationContext and bound to `scratch_` in Prepare — the
 // serial phase, per the ScratchSlots contract.
 struct InstanceShardScratch;
+
+// The two coefficients of one Eq. (13) factor, for a left relation r and a
+// right adjacency relation rt — the neighbour statement rt(y', x') is
+// r'(x', y') with r' = rt⁻¹. The factor for Pr(y ≡ y') = p is
+// (1 - a·p)(1 - b·p); a and b multiply score and functionality first, so
+// each product associates as (score · fun⁻¹) · p.
+struct FactorCoefficients {
+  double a = 0.0;    // Pr(r' ⊆ r) · fun⁻¹(r)
+  double b = 0.0;    // Pr(r ⊆ r') · fun⁻¹(r')
+  bool skip = true;  // both scores ≤ 0: the statement adds no factor
+};
+
+// Dense (2L+1) × (2R+1) table of FactorCoefficients over the signed
+// relations of a left (L relations) and a right (R relations) ontology,
+// rebuilt by the instance pass from each iteration's input scores. About
+// 20 KB on the yago-dbpedia stand-in (27 × 31 entries); for a real
+// YAGO × DBpedia pair (≈0.2k × 2.2k signed relations) about 10 MB.
+class FactorCoefficientTable {
+ public:
+  void Build(const ontology::Ontology& left, const ontology::Ontology& right,
+             const RelationScores& scores,
+             ontology::FunctionalityVariant variant);
+
+  // The row of left relation `r` (signed), indexed by the signed right
+  // adjacency relation rt ∈ [-R, R].
+  const FactorCoefficients* Row(rdf::RelId r) const {
+    assert(r >= -left_bound_ && r <= left_bound_);
+    return entries_.data() + static_cast<size_t>(r + left_bound_) * stride_ +
+           static_cast<size_t>(right_bound_);
+  }
+
+ private:
+  std::vector<FactorCoefficients> entries_;
+  rdf::RelId left_bound_ = 0;   // L
+  rdf::RelId right_bound_ = 0;  // R
+  size_t stride_ = 1;           // 2R + 1
+};
 
 // The instance-equivalence pass (§4.1/§4.2 of the paper), one pipeline
 // stage per fixpoint iteration.
@@ -92,6 +130,7 @@ class InstancePass final : public Pass {
   ShardLayout layout_;
   DirectionalContext l2r_;
   BestCounterparts best_;
+  FactorCoefficientTable coefficients_;
   // Candidate lists, one slot per left instance, filled by RunShard (or
   // LoadShard) and drained (or, under semi_naive, copied) by Merge. Two
   // generations, alternating per iteration: `results_[gen_]` is the active
@@ -101,12 +140,22 @@ class InstancePass final : public Pass {
   // results_[g] holds a complete prior output (set by a semi_naive Merge or
   // SeedResults); precondition for reusing generation g.
   std::array<bool, 2> have_results_ = {false, false};
+  // The store the last Merge of generation g built from results_[g],
+  // shared with ctx.current (copying a finalized store is O(1)). When an
+  // iteration recomputes no slot, results_[g] is exactly what built it, so
+  // Merge hands it out again instead of rebuilding it — the whole cost of
+  // an iteration past the semi-naive fixpoint lock.
+  std::array<InstanceEquivalences, 2> merged_;
+  std::array<bool, 2> have_merged_ = {false, false};
   // Active generation this iteration: alternates per Prepare, so it points
   // at the slots written two iterations ago (same parity).
   size_t gen_ = 0;
   size_t prepare_count_ = 0;
   // This iteration skips instances clean in ctx.worklist (set in Prepare).
   bool reuse_ = false;
+  // This iteration writes no slot: reuse with an empty worklist, and no
+  // shard loaded from a checkpoint.
+  bool all_clean_ = false;
   // The per-worker scratch slots, bound in Prepare (RunShard must not call
   // ScratchSlots itself — it may allocate).
   std::vector<InstanceShardScratch>* scratch_ = nullptr;
@@ -116,6 +165,10 @@ class InstancePass final : public Pass {
   obs::MetricId entities_reused_ = 0;
   obs::MetricId entities_with_candidates_ = 0;
   obs::MetricId candidates_emitted_ = 0;
+  // Facts of expanded neighbours y' examined, and distinct (x, x')
+  // accumulator entries created: the kernel's work.
+  obs::MetricId neighbor_facts_visited_ = 0;
+  obs::MetricId keys_created_ = 0;
 };
 
 }  // namespace paris::core

@@ -62,8 +62,8 @@ uint64_t OntologyPairFingerprint(const ontology::Ontology& left,
 void SaveInstanceEquivalences(const InstanceEquivalences& equiv,
                               storage::SnapshotWriter& writer) {
   std::vector<rdf::TermId> keys;
-  keys.reserve(equiv.left_to_right_.size());
-  for (const auto& [left, candidates] : equiv.left_to_right_) {
+  keys.reserve(equiv.tables().left_to_right.size());
+  for (const auto& [left, candidates] : equiv.tables().left_to_right) {
     keys.push_back(left);
   }
   std::sort(keys.begin(), keys.end());
@@ -74,7 +74,7 @@ void SaveInstanceEquivalences(const InstanceEquivalences& equiv,
   std::vector<rdf::TermId> others;
   std::vector<double> probs;
   for (rdf::TermId key : keys) {
-    for (const Candidate& c : equiv.left_to_right_.at(key)) {
+    for (const Candidate& c : equiv.tables().left_to_right.at(key)) {
       others.push_back(c.other);
       probs.push_back(c.prob);
     }

@@ -59,13 +59,29 @@ double EvaluateFunctionality(const DirectionStats& stats,
 
 FunctionalityTable::FunctionalityTable(const rdf::TripleStore& store) {
   assert(store.finalized());
-  const size_t num_relations = store.num_relations();
-  stats_.resize(2 * num_relations);
-  for (size_t base = 1; base <= num_relations; ++base) {
-    const auto pairs = store.PairsOf(static_cast<rdf::RelId>(base));
-    stats_[2 * (base - 1)] = ComputeDirection(pairs, /*inverted=*/false);
-    stats_[2 * (base - 1) + 1] = ComputeDirection(pairs, /*inverted=*/true);
+  stats_.resize(2 * store.num_relations());
+  for (size_t base = 1; base <= store.num_relations(); ++base) {
+    Compute(store, base);
   }
+}
+
+void FunctionalityTable::Update(const rdf::TripleStore& store,
+                                std::span<const rdf::RelId> relations) {
+  assert(store.finalized());
+  const size_t known = stats_.size() / 2;
+  stats_.resize(2 * store.num_relations());
+  for (const rdf::RelId rel : relations) {
+    Compute(store, static_cast<size_t>(rdf::BaseRel(rel)));
+  }
+  for (size_t base = known + 1; base <= store.num_relations(); ++base) {
+    Compute(store, base);
+  }
+}
+
+void FunctionalityTable::Compute(const rdf::TripleStore& store, size_t base) {
+  const auto pairs = store.PairsOf(static_cast<rdf::RelId>(base));
+  stats_[2 * (base - 1)] = ComputeDirection(pairs, /*inverted=*/false);
+  stats_[2 * (base - 1) + 1] = ComputeDirection(pairs, /*inverted=*/true);
 }
 
 const DirectionStats& FunctionalityTable::Stats(rdf::RelId rel) const {

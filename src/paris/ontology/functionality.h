@@ -2,6 +2,7 @@
 #define PARIS_ONTOLOGY_FUNCTIONALITY_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "paris/rdf/store.h"
@@ -43,6 +44,13 @@ class FunctionalityTable {
   // Computes statistics for every relation of the (finalized) store.
   explicit FunctionalityTable(const rdf::TripleStore& store);
 
+  // Brings the table up to date after `store` gained pairs: recomputes the
+  // statistics of `relations` (the relations that gained pairs) and adds
+  // those of relations registered since. A relation's statistics depend
+  // only on its own pairs, so the result equals a freshly built table.
+  void Update(const rdf::TripleStore& store,
+              std::span<const rdf::RelId> relations);
+
   // Global functionality of `rel` (which may be an inverse id) under
   // `variant`. Always in [0, 1]; relations with no pairs report 0.
   double Global(rdf::RelId rel, FunctionalityVariant variant =
@@ -63,6 +71,9 @@ class FunctionalityTable {
                       rdf::TermId x);
 
  private:
+  // Fills both directions of one base relation from its pairs.
+  void Compute(const rdf::TripleStore& store, size_t base);
+
   // stats_[2*(base-1)] = forward direction, stats_[2*(base-1)+1] = inverse.
   std::vector<DirectionStats> stats_;
 };

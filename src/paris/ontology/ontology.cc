@@ -65,6 +65,18 @@ void Ontology::RepackTypeIndexes() {
   packed_instances_of_.Repack(instances_of_);
 }
 
+bool Ontology::AddInstance(rdf::TermId t) {
+  if (static_cast<size_t>(t) >= instance_position_.size()) {
+    instance_position_.resize(
+        std::max(static_cast<size_t>(t) + 1, pool().size()), kNoInstance);
+  }
+  uint32_t& position = instance_position_[t];
+  if (position != kNoInstance) return false;
+  position = static_cast<uint32_t>(instances_.size());
+  instances_.push_back(t);
+  return true;
+}
+
 std::span<const rdf::TermId> Ontology::SuperClassesOf(rdf::TermId cls) const {
   auto it = superclasses_.find(cls);
   if (it == superclasses_.end()) return {};
@@ -185,11 +197,8 @@ util::StatusOr<Ontology> OntologyBuilder::Build(util::ThreadPool* pool,
   }
 
   // 4. Closed type index.
-  auto add_instance = [&](rdf::TermId t) {
-    if (onto.instance_set_.insert(t).second) onto.instances_.push_back(t);
-  };
   for (const auto& e : type_edges_) {
-    add_instance(e.first);
+    onto.AddInstance(e.first);
     std::vector<rdf::TermId>& classes = onto.classes_of_[e.first];
     classes.push_back(e.second);
     const auto supers = onto.SuperClassesOf(e.second);
@@ -218,9 +227,9 @@ util::StatusOr<Ontology> OntologyBuilder::Build(util::ThreadPool* pool,
       const rdf::RelId super_rel = onto.store_.InternRelation(super_name);
       onto.store_.Add(f.subject, super_rel, f.object);
     }
-    if (!onto.class_set_.contains(f.subject)) add_instance(f.subject);
+    if (!onto.class_set_.contains(f.subject)) onto.AddInstance(f.subject);
     if (!pool_->IsLiteral(f.object) && !onto.class_set_.contains(f.object)) {
-      add_instance(f.object);
+      onto.AddInstance(f.object);
     }
   }
 
@@ -269,7 +278,7 @@ util::StatusOr<Ontology::DeltaSummary> Ontology::ApplyDelta(
         return util::InvalidArgumentError(
             "delta types an existing class as an instance: " + t.subject);
       }
-      if (instance_set_.contains(cls)) {
+      if (IsInstanceTerm(cls)) {
         return util::InvalidArgumentError(
             "delta uses an existing instance as a class: " + t.object);
       }
@@ -285,10 +294,7 @@ util::StatusOr<Ontology::DeltaSummary> Ontology::ApplyDelta(
 
   DeltaSummary summary;
   auto add_instance = [&](rdf::TermId t) {
-    if (instance_set_.insert(t).second) {
-      instances_.push_back(t);
-      summary.new_instances.push_back(t);
-    }
+    if (AddInstance(t)) summary.new_instances.push_back(t);
   };
 
   // Phase 2: type edges — close under the existing subclass hierarchy and
@@ -344,12 +350,11 @@ util::StatusOr<Ontology::DeltaSummary> Ontology::ApplyDelta(
   RepackTypeIndexes();
 
   // Added pairs change the degree statistics of exactly the touched
-  // relations, but the table is cheap relative to any alignment pass —
-  // recompute it whole over the merged store.
+  // relations; recompute only those.
   {
     obs::Span span(hooks.trace, hooks.main_slot(), "io",
                    "ontology.functionality");
-    functionality_ = std::make_unique<FunctionalityTable>(store_);
+    functionality_->Update(store_, summary.touched_relations);
   }
   return summary;
 }

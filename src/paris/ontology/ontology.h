@@ -1,6 +1,7 @@
 #ifndef PARIS_ONTOLOGY_ONTOLOGY_H_
 #define PARIS_ONTOLOGY_ONTOLOGY_H_
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -71,7 +72,17 @@ class Ontology {
 
   bool IsClassTerm(rdf::TermId t) const { return class_set_.contains(t); }
   bool IsInstanceTerm(rdf::TermId t) const {
-    return instance_set_.contains(t);
+    return InstancePosition(t) != kNoInstance;
+  }
+
+  // Position of `t` in instances(), or kNoInstance when `t` is not an
+  // instance of this ontology. One bounds check and one load: the instance
+  // pass resolves every neighbour of an expanded fact through it.
+  static constexpr uint32_t kNoInstance = UINT32_MAX;
+  uint32_t InstancePosition(rdf::TermId t) const {
+    return static_cast<size_t>(t) < instance_position_.size()
+               ? instance_position_[t]
+               : kNoInstance;
   }
 
   // ---- Types (deductively closed) ----
@@ -149,8 +160,8 @@ class Ontology {
   // recorded exactly as given); rdf:type statements are closed under the
   // existing subclass hierarchy here. The store merge is an in-place splice
   // of the touched CSR/POS slices (rdf/store.h MergeDelta), after which the
-  // global functionality table is recomputed over the merged store. On
-  // error the ontology is unchanged.
+  // global functionalities of the touched relations are recomputed over the
+  // merged store. On error the ontology is unchanged.
   util::StatusOr<DeltaSummary> ApplyDelta(
       std::span<const rdf::ParsedTriple> triples,
       util::ThreadPool* thread_pool = nullptr, obs::Hooks hooks = {});
@@ -175,12 +186,20 @@ class Ontology {
   // Must run after anything that mutates those maps (build, load, delta).
   void RepackTypeIndexes();
 
+  // Appends `t` to instances() unless it already is one; true if appended.
+  // Grows instance_position_ to the pool, which may have outgrown it.
+  bool AddInstance(rdf::TermId t);
+
   std::string name_;
   rdf::TripleStore store_;
 
   std::vector<rdf::TermId> instances_;
   std::vector<rdf::TermId> classes_;
-  std::unordered_set<rdf::TermId> instance_set_;
+  // The inverse of instances_: a dense array over the pool's term ids
+  // holding each instance's position (kNoInstance elsewhere), 4 bytes per
+  // pool term. Ids past its end, interned after it last grew, are not
+  // instances.
+  std::vector<uint32_t> instance_position_;
   std::unordered_set<rdf::TermId> class_set_;
 
   // Closed type indexes (source of truth; mutated by ApplyDelta).

@@ -91,14 +91,18 @@ util::StatusOr<Ontology> LoadOntologySection(storage::SnapshotReader& reader,
     return util::DataLossError("ontology term id out of pool range");
   }
 
-  // Derived structures: sets, the inverted type index, and functionalities
-  // (all deterministic functions of the serialized state, mirroring
-  // OntologyBuilder::Build()).
-  onto.instance_set_.reserve(onto.instances_.size());
-  for (rdf::TermId t : onto.instances_) {
-    if (!onto.instance_set_.insert(t).second) {
+  // Derived structures: the instance positions, the class set, the
+  // inverted type index, and functionalities (all deterministic functions
+  // of the serialized state, mirroring OntologyBuilder::Build()). The
+  // instance ids were range-checked above, so the dense writes stay in
+  // bounds.
+  onto.instance_position_.assign(pool_size, Ontology::kNoInstance);
+  for (size_t i = 0; i < onto.instances_.size(); ++i) {
+    uint32_t& position = onto.instance_position_[onto.instances_[i]];
+    if (position != Ontology::kNoInstance) {
       return util::DataLossError("duplicate instance in snapshot");
     }
+    position = static_cast<uint32_t>(i);
   }
   onto.class_set_.reserve(onto.classes_.size());
   for (rdf::TermId t : onto.classes_) {

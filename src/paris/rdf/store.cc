@@ -24,10 +24,16 @@ std::optional<RelId> TripleStore::FindRelation(TermId name) const {
 }
 
 uint32_t TripleStore::LocalIndex(TermId t) {
-  auto [it, inserted] =
-      local_index_.emplace(t, static_cast<uint32_t>(terms_.size()));
-  if (inserted) terms_.push_back(t);
-  return it->second;
+  if (static_cast<size_t>(t) >= local_index_.size()) {
+    local_index_.resize(std::max(static_cast<size_t>(t) + 1, pool_->size()),
+                        kNoLocal);
+  }
+  uint32_t& local = local_index_[t];
+  if (local == kNoLocal) {
+    local = static_cast<uint32_t>(terms_.size());
+    terms_.push_back(t);
+  }
+  return local;
 }
 
 void TripleStore::Add(TermId subject, RelId rel, TermId object) {
@@ -53,40 +59,36 @@ void TripleStore::Finalize(util::ThreadPool* pool, obs::Hooks hooks) {
 
 std::span<const Fact> TripleStore::FactsAbout(TermId t) const {
   assert(finalized_);
-  auto it = local_index_.find(t);
-  // Terms first seen by a staged (unmerged) delta have no packed slice yet.
-  if (it == local_index_.end() || it->second >= index_.num_terms()) return {};
-  return index_.FactsAbout(it->second);
+  const uint32_t local = PackedLocal(t);
+  if (local == kNoLocal) return {};
+  return index_.FactsAbout(local);
 }
 
 std::span<const Fact> TripleStore::FactsAbout(TermId t, RelId rel) const {
   assert(finalized_);
-  auto it = local_index_.find(t);
-  if (it == local_index_.end() || it->second >= index_.num_terms()) return {};
-  return index_.FactsWith(it->second, rel);
+  const uint32_t local = PackedLocal(t);
+  if (local == kNoLocal) return {};
+  return index_.FactsWith(local, rel);
 }
 
 std::span<const TermId> TripleStore::ObjectsOf(TermId t, RelId rel) const {
   assert(finalized_);
-  auto it = local_index_.find(t);
-  if (it == local_index_.end() || it->second >= index_.num_terms()) return {};
-  return index_.ObjectsOf(it->second, rel);
+  const uint32_t local = PackedLocal(t);
+  if (local == kNoLocal) return {};
+  return index_.ObjectsOf(local, rel);
 }
 
 bool TripleStore::Contains(TermId s, RelId rel, TermId o) const {
   assert(finalized_);
-  auto it = local_index_.find(s);
-  if (it == local_index_.end() || it->second >= index_.num_terms()) {
-    return false;
-  }
-  return index_.Contains(it->second, rel, o);
+  const uint32_t local = PackedLocal(s);
+  return local != kNoLocal && index_.Contains(local, rel, o);
 }
 
 TripleStore::FactsCursor TripleStore::CursorFor(TermId t) const {
   assert(finalized_);
-  auto it = local_index_.find(t);
-  if (it == local_index_.end() || it->second >= index_.num_terms()) return {};
-  return FactsCursor(&index_, it->second);
+  const uint32_t local = PackedLocal(t);
+  if (local == kNoLocal) return {};
+  return FactsCursor(&index_, local);
 }
 
 TripleStore::DeltaMergeResult TripleStore::MergeDelta(util::ThreadPool* pool,
@@ -261,13 +263,15 @@ util::StatusOr<TripleStore> TripleStore::LoadFrom(
       return util::DataLossError("duplicate relation name");
     }
   }
-  store.local_index_.reserve(store.terms_.size());
+  // Every id in terms_ was checked against the pool above, so the dense
+  // writes below stay in bounds.
+  store.local_index_.assign(pool_size, kNoLocal);
   for (size_t i = 0; i < store.terms_.size(); ++i) {
-    if (!store.local_index_
-             .emplace(store.terms_[i], static_cast<uint32_t>(i))
-             .second) {
+    uint32_t& local = store.local_index_[store.terms_[i]];
+    if (local != kNoLocal) {
       return util::DataLossError("duplicate term in dictionary");
     }
+    local = static_cast<uint32_t>(i);
   }
   store.finalized_ = true;
   return store;

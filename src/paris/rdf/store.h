@@ -116,7 +116,7 @@ class TripleStore {
   // A resolved handle over one term's packed adjacency: the global→local
   // dictionary lookup happens once at `CursorFor`, so the fixpoint's inner
   // loops can issue many per-relation probes against the same term without
-  // re-hashing its id. All spans stay valid for the store's lifetime.
+  // resolving its id again. All spans stay valid for the store's lifetime.
   class FactsCursor {
    public:
     FactsCursor() = default;
@@ -183,9 +183,7 @@ class TripleStore {
   // order.
   const std::vector<TermId>& terms() const { return terms_; }
 
-  bool ContainsTerm(TermId t) const {
-    return local_index_.find(t) != local_index_.end();
-  }
+  bool ContainsTerm(TermId t) const { return Local(t) != kNoLocal; }
 
   // Total number of distinct statements (not counting inverses twice).
   size_t num_triples() const { return index_.num_triples(); }
@@ -212,12 +210,12 @@ class TripleStore {
   // Restores a finalized store whose term ids reference `pool` (already
   // loaded). Fails on structurally invalid or out-of-range data. With a
   // memory-backed reader (mmap'ed snapshot) the packed index columns
-  // become zero-copy views into the mapping — only the dictionary hash
-  // tables and the derived object column are materialized. `version` is
-  // the snapshot file's format version: v3 sections carry the TriIndex
-  // orderings and relation directory (adopted zero-copy), v2 sections get
-  // them rebuilt in memory. The two-argument form loads the current
-  // version.
+  // become zero-copy views into the mapping — only the dictionaries (the
+  // relation-name map and the dense term array) and the derived object
+  // column are materialized. `version` is the snapshot file's format
+  // version: v3 sections carry the TriIndex orderings and relation
+  // directory (adopted zero-copy), v2 sections get them rebuilt in memory.
+  // The two-argument form loads the current version.
   static util::StatusOr<TripleStore> LoadFrom(storage::SnapshotReader& reader,
                                               TermPool* pool);
   static util::StatusOr<TripleStore> LoadFrom(storage::SnapshotReader& reader,
@@ -225,6 +223,23 @@ class TripleStore {
                                               uint32_t version);
 
  private:
+  static constexpr uint32_t kNoLocal = UINT32_MAX;
+
+  // The dictionary probe: `t`'s local index, or kNoLocal when `t` is not in
+  // this store. Bounds-checked, because the shared pool grows past the
+  // array while another store ingests or a delta is staged.
+  uint32_t Local(TermId t) const {
+    return static_cast<size_t>(t) < local_index_.size() ? local_index_[t]
+                                                        : kNoLocal;
+  }
+  // Local(t) for a term with a packed adjacency slice, else kNoLocal (terms
+  // first seen by a staged, unmerged delta have none yet).
+  uint32_t PackedLocal(TermId t) const {
+    const uint32_t local = Local(t);
+    return local < index_.num_terms() ? local : kNoLocal;
+  }
+  // Local(t), assigning the next local index (and growing the array) on
+  // first sight.
   uint32_t LocalIndex(TermId t);
 
   TermPool* pool_;
@@ -235,7 +250,11 @@ class TripleStore {
   std::unordered_map<TermId, RelId> rel_index_;
 
   // Term dictionary: global term id ↔ dense local index, first-seen order.
-  std::unordered_map<TermId, uint32_t> local_index_;
+  // `local_index_` is a dense array over the pool's term ids (kNoLocal for
+  // terms this store never saw), so the lookup the fixpoint's inner loops
+  // make per expanded fact is one bounds check and one load, not a hash
+  // probe. It costs 4 bytes per pool term; `terms_` is its inverse.
+  std::vector<uint32_t> local_index_;
   std::vector<TermId> terms_;
 
   // Ingest buffer; moved into the index by Finalize().

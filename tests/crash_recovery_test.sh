@@ -19,9 +19,10 @@ WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 cd "$WORK"
 
-# Scale 16 stretches one run to ~0.5-1s so the kill schedule below actually
-# lands mid-run instead of after a sub-100ms run has already finished.
-"$GENERATE" restaurant rest 16 > /dev/null \
+# Scale 32 stretches one run to ~0.4-0.6s (optimized build, 4 vCPUs) so
+# the kill schedule below actually lands mid-run instead of after a short
+# run has already finished.
+"$GENERATE" restaurant rest 32 > /dev/null \
   || { echo "FAIL: generate" >&2; exit 1; }
 
 # Deterministic kill schedule: same seed, same delays, every run.

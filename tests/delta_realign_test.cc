@@ -68,17 +68,62 @@ TEST_F(OntologyDeltaTest, MergesFactsAndReportsTouchedState) {
       Fact("l:b", "l:knows", "l:c"),  // new instance l:c
       LiteralFact("l:c", "l:email", "c@example.org"),
       Fact("l:a", "l:knows", "l:b"),  // duplicate: dropped
+      Fact("l:c", "l:likes", "l:a"),  // new relation
   };
   auto summary = onto_->ApplyDelta(delta);
   ASSERT_TRUE(summary.ok()) << summary.status().ToString();
-  EXPECT_EQ(summary->num_new_statements, 2u);
+  EXPECT_EQ(summary->num_new_statements, 3u);
   EXPECT_EQ(summary->new_instances.size(), 1u);
   EXPECT_FALSE(summary->touched_terms.empty());
   EXPECT_FALSE(summary->touched_relations.empty());
-  EXPECT_EQ(onto_->num_triples(), base_triples + 2);
+  EXPECT_EQ(onto_->num_triples(), base_triples + 3);
   // Touched terms come out sorted (canonical worklist order).
   EXPECT_TRUE(std::is_sorted(summary->touched_terms.begin(),
                              summary->touched_terms.end()));
+  // Only the touched relations' functionalities were recomputed; the table
+  // must equal one built fresh over the merged store.
+  const ontology::FunctionalityTable fresh(onto_->store());
+  for (rdf::RelId base = 1;
+       base <= static_cast<rdf::RelId>(onto_->num_relations()); ++base) {
+    for (const rdf::RelId rel : {base, rdf::Inverse(base)}) {
+      const ontology::DirectionStats& got = onto_->functionality().Stats(rel);
+      const ontology::DirectionStats& want = fresh.Stats(rel);
+      EXPECT_EQ(got.num_pairs, want.num_pairs) << rel;
+      EXPECT_EQ(got.num_distinct_firsts, want.num_distinct_firsts) << rel;
+      EXPECT_EQ(got.num_distinct_seconds, want.num_distinct_seconds) << rel;
+      EXPECT_EQ(got.sum_inverse_degree, want.sum_inverse_degree) << rel;
+      EXPECT_EQ(got.sum_squared_degree, want.sum_squared_degree) << rel;
+    }
+  }
+}
+
+// The store's term dictionary and the instance positions are dense arrays
+// over the shared pool, which grows past them (another ontology's ingest,
+// ApplyDelta's own interning). Ids past their end read as absent until a
+// delta adds them.
+TEST_F(OntologyDeltaTest, DenseLookupsFollowPoolGrowth) {
+  Build();
+  const rdf::TermId unseen = pool_.InternIri("l:unseen");
+  EXPECT_FALSE(onto_->IsInstanceTerm(unseen));
+  EXPECT_EQ(onto_->InstancePosition(unseen), ontology::Ontology::kNoInstance);
+  EXPECT_FALSE(onto_->store().ContainsTerm(unseen));
+  EXPECT_TRUE(onto_->FactsAbout(unseen).empty());
+  for (size_t i = 0; i < onto_->instances().size(); ++i) {
+    EXPECT_EQ(onto_->InstancePosition(onto_->instances()[i]), i);
+  }
+
+  std::vector<ParsedTriple> delta = {
+      Fact("l:b", "l:knows", "l:unseen"),
+      Fact("l:d", "l:knows", "l:a"),  // l:d is interned by the delta
+  };
+  ASSERT_TRUE(onto_->ApplyDelta(delta).ok());
+  const rdf::TermId d = *pool_.Find("l:d", rdf::TermKind::kIri);
+  for (const rdf::TermId t : {unseen, d}) {
+    ASSERT_TRUE(onto_->IsInstanceTerm(t));
+    EXPECT_EQ(onto_->instances()[onto_->InstancePosition(t)], t);
+    EXPECT_TRUE(onto_->store().ContainsTerm(t));
+    EXPECT_FALSE(onto_->FactsAbout(t).empty());
+  }
 }
 
 TEST_F(OntologyDeltaTest, SchemaDeltaRejectedAtomically) {

@@ -382,6 +382,22 @@ TEST_F(DurabilityWorkloadTest, PermanentWriteFailureDisablesCheckpointing) {
   EXPECT_EQ(writer.checkpoints_written(), 0u);
 }
 
+// A run that ends before its first capture still leaves the (empty)
+// journal, which readers treat like a missing one.
+TEST_F(DurabilityWorkloadTest, CheckpointWriterStartsAnEmptyJournal) {
+  const std::string dir = FreshDir("ckpt_empty");
+  {
+    core::CheckpointWriter writer({dir, 3600.0}, left(), right(), config_,
+                                  "identity");
+    EXPECT_FALSE(writer.Due());
+  }
+  EXPECT_TRUE(FileExists(dir + "/MANIFEST"));
+  EXPECT_EQ(ReadFile(dir + "/MANIFEST"), "");
+  auto latest =
+      core::LoadLatestCheckpoint(dir, left(), right(), config_, "identity");
+  EXPECT_EQ(latest.status().code(), util::StatusCode::kNotFound);
+}
+
 // The tentpole acceptance at library level: a run that checkpoints on a
 // tight cadence produces the same tables as an undisturbed run, and
 // resuming from its newest mid-run checkpoint — across thread counts —

@@ -222,6 +222,10 @@ TEST_F(ObsPipelineTest, MetricsDeterministicAcrossThreadAndShardCounts) {
         reference = out.str();
         EXPECT_NE(reference.find("\"instance.entities_scored\":"),
                   std::string::npos);
+        EXPECT_NE(reference.find("\"instance.neighbor_facts_visited\":"),
+                  std::string::npos);
+        EXPECT_NE(reference.find("\"instance.keys_created\":"),
+                  std::string::npos);
         EXPECT_NE(reference.find("\"convergence.score_delta\""),
                   std::string::npos);
         EXPECT_NE(reference.find("\"run.iterations\":3"), std::string::npos);

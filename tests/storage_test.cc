@@ -5,6 +5,7 @@
 #include <fstream>
 #include <optional>
 #include <ranges>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -569,6 +570,117 @@ TEST_F(AlignmentSnapshotTest, MmapRejectsCorruptionAndTruncation) {
                      bad_path, &scratch, ontology::SnapshotLoadMode::kMmap)
                      .ok())
         << "truncation to " << keep << " bytes was not rejected by mmap";
+  }
+  std::remove(bad_path.c_str());
+  std::remove(path.c_str());
+}
+
+// Checks that sit behind the checksum. A snapshot whose trailer is valid but
+// whose dictionaries are inconsistent (a writer bug, or damage re-sealed
+// with a fresh checksum) must load as DataLoss from both format versions
+// and both load paths — and must never write a dense TermId-indexed array
+// out of bounds on the way.
+TEST_F(AlignmentSnapshotTest, RejectsInconsistentDictionariesBehindChecksum) {
+  rdf::TermPool pool;
+  std::optional<ontology::Ontology> left;
+  std::optional<ontology::Ontology> right;
+  Build(&pool, &left, &right);
+  ASSERT_GE(left->store().terms().size(), 2u);
+  ASSERT_GE(left->instances().size(), 2u);
+  const auto pool_size = static_cast<TermId>(pool.size());
+
+  auto read_file = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+  };
+  // Rewrites the FNV-1a trailer over the mutated body.
+  auto reseal = [](std::string bytes) {
+    const size_t magic = sizeof(storage::kSnapshotMagic);
+    const uint64_t checksum = storage::FnvHash(
+        bytes.data() + magic, bytes.size() - magic - sizeof(uint64_t));
+    for (size_t i = 0; i < 8; ++i) {
+      bytes[bytes.size() - 8 + i] = static_cast<char>(checksum >> (8 * i));
+    }
+    return bytes;
+  };
+  // File offset of the first row of the POD array whose u64 count sits at
+  // `count_at`: rows follow the count after zero padding to 8 bytes.
+  auto rows_at = [](uint64_t count_at) {
+    return static_cast<size_t>((count_at + 8 + 7) / 8 * 8);
+  };
+
+  const std::string path = TempPath("dictionary_base.snap");
+  const std::string bad_path = TempPath("dictionary_bad.snap");
+  for (uint32_t version :
+       {storage::kMinSnapshotVersion, storage::kSnapshotVersion}) {
+    ASSERT_TRUE(
+        ontology::SaveAlignmentSnapshot(path, *left, *right, version).ok());
+    const std::string bytes = read_file(path);
+
+    // Walk the well-formed file up to the left ontology's store dictionary,
+    // then past its store section to its instance list.
+    const auto file = std::as_bytes(std::span(bytes.data(), bytes.size()));
+    storage::SnapshotReader reader(file);
+    ASSERT_EQ(reader.ReadU32(), version);
+    rdf::TermPool walk_pool;
+    ASSERT_TRUE(storage::LoadTermPool(reader, &walk_pool).ok());
+    ASSERT_EQ(reader.ReadString(), "left");
+    const uint64_t store_at = reader.position();
+    std::vector<TermId> rel_names;
+    ASSERT_TRUE(reader.ReadPodVector(&rel_names));
+    const size_t store_terms = rows_at(reader.position());
+    storage::SnapshotReader store_reader(file);
+    store_reader.ReadU32();
+    rdf::TermPool store_pool;
+    ASSERT_TRUE(storage::LoadTermPool(store_reader, &store_pool).ok());
+    store_reader.ReadString();
+    ASSERT_EQ(store_reader.position(), store_at);
+    ASSERT_TRUE(
+        rdf::TripleStore::LoadFrom(store_reader, &store_pool, version).ok());
+    const size_t instances = rows_at(store_reader.position());
+
+    struct Case {
+      const char* label;
+      size_t offset;
+      TermId value;
+      const char* message;
+    };
+    const Case cases[] = {
+        {"duplicated store term", store_terms + 4, left->store().terms()[0],
+         "duplicate term in dictionary"},
+        {"store term past the pool", store_terms, pool_size,
+         "term id out of pool range"},
+        {"duplicated instance", instances + 4, left->instances()[0],
+         "duplicate instance in snapshot"},
+        {"instance past the pool", instances, pool_size,
+         "ontology term id out of pool range"},
+    };
+    for (const Case& c : cases) {
+      std::string mutated = bytes;
+      for (size_t i = 0; i < 4; ++i) {
+        mutated[c.offset + i] = static_cast<char>(c.value >> (8 * i));
+      }
+      ASSERT_NE(mutated, bytes) << c.label;
+      {
+        std::ofstream out(bad_path, std::ios::binary | std::ios::trunc);
+        out << reseal(std::move(mutated));
+      }
+      for (const auto mode : {ontology::SnapshotLoadMode::kStream,
+                              ontology::SnapshotLoadMode::kMmap}) {
+        rdf::TermPool fresh;
+        auto loaded = ontology::LoadAlignmentSnapshot(bad_path, &fresh, mode);
+        const std::string where =
+            std::string(c.label) + ", v" + std::to_string(version) +
+            (mode == ontology::SnapshotLoadMode::kMmap ? ", mmap" : ", stream");
+        ASSERT_FALSE(loaded.ok()) << where << " was not rejected";
+        EXPECT_EQ(loaded.status().code(), util::StatusCode::kDataLoss)
+            << where << ": " << loaded.status().ToString();
+        EXPECT_NE(loaded.status().message().find(c.message), std::string::npos)
+            << where << ": " << loaded.status().ToString();
+      }
+    }
   }
   std::remove(bad_path.c_str());
   std::remove(path.c_str());
