@@ -1,5 +1,5 @@
 // Triple-pattern query engine benchmark: per-mask pattern-scan latency
-// (p50/p99 + total) against the hexastore orderings, and a head-to-head of
+// (p50/p99 + total) against the store's columnar index, and a head-to-head of
 // the fixpoint's per-(term, relation) probe — the old binary search over
 // the full adjacency span (core::FactsWithRelation) vs the new per-term
 // relation directory (TripleStore::FactsCursor) — on a deliberately
@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "paris/core/direction.h"
@@ -124,13 +125,19 @@ int Main(int argc, char** argv) {
   rdf::TermPool pool;
   const ontology::Ontology onto = BuildDense(&pool);
   const rdf::TripleStore& store = onto.store();
-  const storage::TriIndex& tri = store.tri();
 
-  // Deterministic query mix drawn from actual statements.
+  // Deterministic query mix drawn from actual statements, listed in
+  // (s, p, o) order so the draw does not depend on the engine's reply
+  // order.
   std::vector<rdf::Triple> seeds;
   seeds.reserve(kQueries);
   {
-    const std::vector<rdf::Triple> all = tri.Collect({});
+    std::vector<rdf::Triple> all = store.Collect({});
+    std::sort(all.begin(), all.end(), [](const rdf::Triple& a,
+                                         const rdf::Triple& b) {
+      return std::tie(a.subject, a.rel, a.object) <
+             std::tie(b.subject, b.rel, b.object);
+    });
     util::Rng rng(0xBEEF);
     for (size_t i = 0; i < kQueries; ++i) {
       seeds.push_back(
@@ -152,7 +159,7 @@ int Main(int argc, char** argv) {
     const double start = Now();
     for (const rdf::Triple& seed : seeds) {
       const double t0 = Now();
-      sink += tri.Count(make_pattern(seed));
+      sink += store.Count(make_pattern(seed));
       latencies.push_back(Now() - t0);
     }
     const double total = Now() - start;

@@ -5,7 +5,7 @@
 // is the YAGO ↔ DBpedia scenario of §6.4, driven entirely through the
 // `paris::api::Session` facade:
 //
-//   generate -> load -> Query (pattern scans, merge-join) -> align -> report
+//   generate -> load -> Query (pattern scans, intersection) -> align -> report
 //
 // Build & run (in-tree):
 //   cmake -B build -DPARIS_BUILD_EXAMPLES=ON && cmake --build build
@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -38,20 +39,31 @@ paris::rdf::RelId FindRel(const paris::ontology::Ontology& onto,
 }
 
 // Prints one side's relation inventory straight off the pattern engine:
-// one DistinctBindings scan for the relation ids, one O(log n) Count per
-// relation for its statement count.
+// one (_, ?, _) pattern for the distinct relations, sorted, and one Count
+// per relation, which is the size of its pair span.
 void PrintSchema(const char* label, const paris::ontology::Ontology& onto) {
-  const paris::storage::TriIndex& tri = onto.store().tri();
-  const std::vector<uint32_t> rels = tri.DistinctBindings(
-      paris::storage::TriplePattern(), paris::storage::TriPos::kRel);
+  const paris::rdf::TripleStore& store = onto.store();
+  const std::vector<paris::rdf::Triple> rels = store.Collect(
+      paris::storage::TriplePattern().IgnoreSubject().IgnoreObject());
   std::printf("%s: %zu classes, %zu relations\n", label,
               onto.classes().size(), rels.size());
-  for (uint32_t rel : rels) {
-    const auto r = static_cast<paris::rdf::RelId>(rel);
-    std::printf("  %-22s %6llu facts\n", onto.RelationName(r).c_str(),
-                static_cast<unsigned long long>(tri.Count(
-                    paris::storage::TriplePattern().BindRel(r))));
+  for (const paris::rdf::Triple& row : rels) {
+    std::printf("  %-22s %6llu facts\n", onto.RelationName(row.rel).c_str(),
+                static_cast<unsigned long long>(store.Count(
+                    paris::storage::TriplePattern().BindRel(row.rel))));
   }
+}
+
+// The distinct objects of one relation, ascending: a (_, r, ?) pattern
+// replies sorted by object.
+std::vector<paris::rdf::TermId> ObjectsOf(const paris::ontology::Ontology& onto,
+                                          paris::rdf::RelId rel) {
+  std::vector<paris::rdf::TermId> objects;
+  for (const paris::rdf::Triple& row : onto.store().Collect(
+           paris::storage::TriplePattern().IgnoreSubject().BindRel(rel))) {
+    objects.push_back(row.object);
+  }
+  return objects;
 }
 
 }  // namespace
@@ -80,8 +92,8 @@ int main(int argc, char** argv) {
   PrintSchema("\nleft schema", left);
   PrintSchema("\nright schema", right);
 
-  // A bound-relation pattern is one range scan of the POS ordering; sample
-  // a few y:wasBornIn statements through the facade.
+  // A bound-relation pattern reads that relation's pairs; sample a few
+  // y:wasBornIn statements through the facade.
   const paris::rdf::RelId born_in = FindRel(left, "y:wasBornIn");
   if (born_in != paris::rdf::kNullRel) {
     auto sample = session.Query(
@@ -95,20 +107,19 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Both ontologies intern into one shared term pool, so a merge-join of
-  // two single-relation patterns on their *object* position yields the
-  // literal values present on both sides — the classic candidate-seed
-  // query, answered by two sorted scans and one intersection.
+  // Both ontologies intern into one shared term pool, so intersecting the
+  // objects of two single-relation patterns yields the literal values
+  // present on both sides — the classic candidate-seed query, answered by
+  // two sorted scans and one std::set_intersection.
   const paris::rdf::RelId left_label = FindRel(left, "rdfs:label");
   const paris::rdf::RelId right_name = FindRel(right, "dbp:birthName");
   if (left_label != paris::rdf::kNullRel &&
       right_name != paris::rdf::kNullRel) {
-    const std::vector<uint32_t> shared = paris::storage::MergeJoin(
-        left.store().tri(),
-        paris::storage::TriplePattern().BindRel(left_label),
-        paris::storage::TriPos::kObject, right.store().tri(),
-        paris::storage::TriplePattern().BindRel(right_name),
-        paris::storage::TriPos::kObject);
+    const std::vector<paris::rdf::TermId> labels = ObjectsOf(left, left_label);
+    const std::vector<paris::rdf::TermId> names = ObjectsOf(right, right_name);
+    std::vector<paris::rdf::TermId> shared;
+    std::set_intersection(labels.begin(), labels.end(), names.begin(),
+                          names.end(), std::back_inserter(shared));
     std::printf(
         "\n%zu literal values appear as both rdfs:label and dbp:birthName\n",
         shared.size());

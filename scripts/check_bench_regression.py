@@ -47,9 +47,9 @@ def load_baselines(doc):
 # iteration past the fixpoint lock costs at most 1/5 of an exhaustive one.
 # delta_realign_fraction is the incremental-update bar: merging a ~1% delta
 # and re-aligning costs at most 1/3 of an equivalent cold run.
-# probe_directory_vs_binary_fraction is the TriIndex access-path bar: the
-# per-term relation directory (best-of-N) must never be slower than the old
-# binary search over the full adjacency span it replaced.
+# probe_directory_vs_binary_fraction is the relation-directory access-path
+# bar: the per-term relation directory (best-of-N) must never be slower
+# than the old binary search over the full adjacency span it replaced.
 OVERHEAD_CAPS = {
     "checkpoint_overhead_fraction": 0.05,
     "converged_iteration_fraction": 0.20,

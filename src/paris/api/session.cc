@@ -17,6 +17,7 @@
 #include "paris/obs/trace.h"
 #include "paris/rdf/ntriples.h"
 #include "paris/rdf/turtle.h"
+#include "paris/util/flags.h"
 
 namespace paris::api {
 
@@ -436,7 +437,88 @@ util::StatusOr<std::vector<rdf::Triple>> Session::Query(
   }
   const ontology::Ontology& onto =
       side == DeltaSide::kLeft ? *left_ : *right_;
-  return onto.store().tri().Collect(pattern, limit);
+  return onto.store().Collect(pattern, limit);
+}
+
+namespace {
+
+// The id of a `#<id>` token, or -1 when the digits are malformed.
+long long RawId(std::string_view token) {
+  long long raw = -1;
+  if (!util::ParseFullInt64(std::string(token.substr(1)), &raw)) return -1;
+  return raw;
+}
+
+}  // namespace
+
+util::StatusOr<rdf::TermId> Session::ResolveTerm(std::string_view token) const {
+  if (!loaded()) {
+    return util::FailedPreconditionError("no ontologies loaded to resolve");
+  }
+  // Both sides share one pool, so one lookup covers each.
+  const rdf::TermPool& pool = left_->pool();
+  if (token.starts_with('#')) {
+    const long long raw = RawId(token);
+    if (raw < 0 || static_cast<size_t>(raw) >= pool.size()) {
+      return util::InvalidArgumentError("bad raw term id '" +
+                                        std::string(token) + "'");
+    }
+    return static_cast<rdf::TermId>(raw);
+  }
+  const auto id = pool.Find(token, rdf::TermKind::kIri);
+  if (!id.has_value()) {
+    return util::NotFoundError("unknown term '" + std::string(token) + "'");
+  }
+  return *id;
+}
+
+util::StatusOr<rdf::RelId> Session::ResolveRelation(
+    DeltaSide side, std::string_view token) const {
+  if (!loaded()) {
+    return util::FailedPreconditionError("no ontologies loaded to resolve");
+  }
+  const ontology::Ontology& onto = side == DeltaSide::kLeft ? *left_ : *right_;
+  const bool inverse = token.starts_with('-');
+  const std::string_view name = inverse ? token.substr(1) : token;
+  std::optional<rdf::RelId> rel;
+  if (name.starts_with('#')) {
+    const long long raw = RawId(name);
+    if (raw < 1 || static_cast<size_t>(raw) > onto.store().num_relations()) {
+      return util::InvalidArgumentError("bad raw relation id '" +
+                                        std::string(token) + "'");
+    }
+    rel = static_cast<rdf::RelId>(raw);
+  } else if (const auto id = onto.pool().Find(name, rdf::TermKind::kIri)) {
+    rel = onto.store().FindRelation(*id);
+  }
+  if (!rel.has_value()) {
+    return util::NotFoundError(
+        "unknown relation '" + std::string(name) + "' in the " +
+        (side == DeltaSide::kLeft ? "left" : "right") + " ontology");
+  }
+  return inverse ? rdf::Inverse(*rel) : *rel;
+}
+
+util::StatusOr<storage::TriplePattern> Session::ParsePattern(
+    DeltaSide side, std::string_view subject, std::string_view relation,
+    std::string_view object) const {
+  storage::TriplePattern pattern;
+  const std::string_view tokens[3] = {subject, relation, object};
+  for (size_t i = 0; i < 3; ++i) {
+    if (tokens[i] == "?") continue;
+    if (tokens[i] == "_") {
+      pattern.slots[i] = storage::TriplePattern::Slot::kIgnored;
+    } else if (i == 1) {
+      auto rel = ResolveRelation(side, tokens[i]);
+      if (!rel.ok()) return rel.status();
+      pattern.BindRel(*rel);
+    } else {
+      auto id = ResolveTerm(tokens[i]);
+      if (!id.ok()) return id.status();
+      i == 0 ? pattern.BindSubject(*id) : pattern.BindObject(*id);
+    }
+  }
+  return pattern;
 }
 
 util::Status Session::Export(const std::string& prefix) const {

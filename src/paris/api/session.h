@@ -8,7 +8,7 @@
 #include <memory>
 #include <optional>
 #include <string>
-
+#include <string_view>
 #include <vector>
 
 #include "paris/api/matcher_registry.h"
@@ -287,15 +287,16 @@ class Session {
 
   // ---- Inspect / export --------------------------------------------------
 
-  // Evaluates one triple pattern against one side's statements via the
-  // hexastore-style orderings (storage::TriIndex): every combination of
-  // bound / variable / ignored subject, relation, and object positions is
-  // answered by a single range scan of the best-fit ordering — no full
-  // scans except the all-variable pattern. A bound relation may be an
-  // inverse id (the matching statements are returned in their positive
-  // direction). Matches arrive as whole triples, deduplicated when ignored
-  // positions would collapse distinct statements; `limit` = 0 means no
-  // limit. FailedPrecondition when nothing is loaded.
+  // Evaluates one triple pattern against one side's statements
+  // (rdf::TripleStore::Collect): every combination of bound / variable /
+  // ignored subject, relation, and object positions is answered from the
+  // store's columnar index, in the per-mask reply order that
+  // src/paris/storage/README.md lists. A bound relation may be an inverse
+  // id (the matching statements are returned in their positive direction).
+  // Matches arrive as whole triples; a pattern with an ignored position
+  // collapses the matches that differ only there and replies sorted by
+  // (subject, relation, object), with `limit` applied after the collapse.
+  // `limit` = 0 means no limit. FailedPrecondition when nothing is loaded.
   //
   //   auto triples = session.Query(
   //       Session::DeltaSide::kLeft,
@@ -303,6 +304,21 @@ class Session {
   util::StatusOr<std::vector<rdf::Triple>> Query(
       DeltaSide side, const storage::TriplePattern& pattern,
       size_t limit = 0) const;
+
+  // The pattern-token syntax shared by paris_query and parisd's QUERY and
+  // LOOKUP verbs. A term token is `#<id>` (a raw id into the shared pool)
+  // or a lexical IRI. A relation token is `#<id>` (1..num_relations) or a
+  // relation's IRI, either one prefixed `-` for the inverse. A malformed
+  // or out-of-range raw id is InvalidArgument, an unknown name NotFound;
+  // FailedPrecondition when nothing is loaded.
+  util::StatusOr<rdf::TermId> ResolveTerm(std::string_view token) const;
+  util::StatusOr<rdf::RelId> ResolveRelation(DeltaSide side,
+                                             std::string_view token) const;
+  // One pattern from its three slot tokens: `?` is a variable, `_` an
+  // ignored position, anything else a token as above.
+  util::StatusOr<storage::TriplePattern> ParsePattern(
+      DeltaSide side, std::string_view subject, std::string_view relation,
+      std::string_view object) const;
 
   // Writes `<prefix>_{instances,relations,classes}.tsv`.
   util::Status Export(const std::string& prefix) const;

@@ -130,8 +130,8 @@ util::Status SaveAlignmentSnapshot(const std::string& path,
     return util::InvalidArgumentError(
         "snapshot requires both ontologies to share one term pool");
   }
-  if (version < storage::kMinSnapshotVersion ||
-      version > storage::kSnapshotVersion) {
+  if (version != storage::kMinSnapshotVersion &&
+      version != storage::kSnapshotVersion) {
     return util::InvalidArgumentError("unsupported snapshot write version");
   }
   // Staged through AtomicFileWriter: a crash (or write error) at any point

@@ -21,9 +21,9 @@ namespace paris::ontology {
 // friends) write one ontology; the functions below frame a whole file.
 
 // Both ontologies must share one term pool (the normal alignment setup).
-// `version` selects the format version to write (compat tests write a
-// downlevel storage::kMinSnapshotVersion file); it must lie in
-// [storage::kMinSnapshotVersion, storage::kSnapshotVersion].
+// `version` selects the format version to write: storage::kSnapshotVersion,
+// or the downlevel storage::kMinSnapshotVersion that compatibility tests
+// write. Any other version is InvalidArgument.
 util::Status SaveAlignmentSnapshot(const std::string& path,
                                    const Ontology& left, const Ontology& right,
                                    uint32_t version = storage::kSnapshotVersion);

@@ -54,7 +54,6 @@
 #include "paris/core/explain.h"
 #include "paris/core/instance_align.h"
 #include "paris/core/literal_match.h"
-#include "paris/core/multi_align.h"
 #include "paris/core/relation_align.h"
 #include "paris/core/relation_scores.h"
 #include "paris/core/result_io.h"

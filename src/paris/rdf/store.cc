@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <tuple>
 #include <utility>
 
 #include "paris/storage/snapshot.h"
@@ -52,7 +53,6 @@ void TripleStore::Finalize(util::ThreadPool* pool, obs::Hooks hooks) {
   assert(!finalized_);
   index_ = storage::ColumnarIndex::Build(terms_, rel_names_.size(),
                                          std::move(pending_), pool, hooks);
-  tri_ = storage::TriIndex::Build(index_, pool, hooks);
   pending_ = {};
   finalized_ = true;
 }
@@ -99,18 +99,13 @@ TripleStore::DeltaMergeResult TripleStore::MergeDelta(util::ThreadPool* pool,
   pending_ = {};
 
   DeltaMergeResult result;
-  std::vector<Triple> novel;
   for (const auto& e : kept) {
     result.touched_terms.push_back(terms_[e.owner]);
     result.touched_relations.push_back(BaseRel(e.rel));
-    if (e.rel > 0) {
-      ++result.num_new_statements;
-      // Each novel statement appears once with a positive relation (its
-      // inverse half carries the negated id).
-      novel.push_back(Triple{terms_[e.owner], e.rel, e.other});
-    }
+    // Each novel statement appears once with a positive relation (its
+    // inverse half carries the negated id).
+    if (e.rel > 0) ++result.num_new_statements;
   }
-  tri_.MergeDelta(std::move(novel));
   auto canonicalize = [](auto& v) {
     std::sort(v.begin(), v.end());
     v.erase(std::unique(v.begin(), v.end()), v.end());
@@ -143,6 +138,202 @@ void TripleStore::ForEachPair(
 }
 
 // ---------------------------------------------------------------------------
+// Triple patterns
+// ---------------------------------------------------------------------------
+
+namespace {
+
+using storage::TriplePattern;
+using storage::TriPos;
+using Slot = TriplePattern::Slot;
+
+bool HasIgnored(const TriplePattern& p) {
+  return p.slots[0] == Slot::kIgnored || p.slots[1] == Slot::kIgnored ||
+         p.slots[2] == Slot::kIgnored;
+}
+
+// The first fact of `facts` (one term's slice, sorted by (rel, other))
+// whose relation is positive: inverse halves sort first.
+const Fact* FirstForward(std::span<const Fact> facts) {
+  return std::partition_point(facts.data(), facts.data() + facts.size(),
+                              [](const Fact& f) { return f.rel < 0; });
+}
+
+}  // namespace
+
+template <typename Emit>
+void TripleStore::ForEachMatch(const TriplePattern& p, Emit&& emit) const {
+  const RelId rel = p.rel();
+  const TermId s = p.values[0];
+  const TermId o = p.values[2];
+  const bool has_s = p.bound(TriPos::kSubject);
+  const bool has_p = p.bound(TriPos::kRel);
+  const bool has_o = p.bound(TriPos::kObject);
+
+  if (!has_s && !has_o) {
+    // P: one relation's pairs, by (s, o). Nothing bound: every relation's
+    // pairs in turn, by (p, s, o).
+    const auto last = static_cast<RelId>(index_.num_relations());
+    for (RelId r = has_p ? rel : 1; r <= (has_p ? rel : last); ++r) {
+      for (const TermPair& pair : index_.PairsOf(r)) {
+        if (!emit(Triple{pair.first, r, pair.second})) return;
+      }
+    }
+    return;
+  }
+  if (!has_s) {
+    const uint32_t lo = PackedLocal(o);
+    if (lo == kNoLocal) return;
+    if (has_p) {
+      // P,O: o's inverse facts of the relation, by s.
+      for (const Fact& f : index_.FactsWith(lo, Inverse(rel))) {
+        if (!emit(Triple{f.other, rel, o})) return;
+      }
+      return;
+    }
+    // O: o's inverse relation groups, walked from the last (-p ascending
+    // means p descending) so p ascends, each by s.
+    const auto rows = index_.DirectoryOf(lo);
+    const auto* row = std::partition_point(
+        rows.data(), rows.data() + rows.size(),
+        [](const storage::ColumnarIndex::DirEntry& e) { return e.rel < 0; });
+    while (row != rows.data()) {
+      --row;
+      for (const Fact& f : index_.FactsOf(lo, row)) {
+        if (!emit(Triple{f.other, Inverse(row->rel), o})) return;
+      }
+    }
+    return;
+  }
+  const uint32_t ls = PackedLocal(s);
+  if (ls == kNoLocal) return;
+  if (has_p) {
+    if (has_o) {
+      // S,P,O: a point lookup.
+      if (index_.Contains(ls, rel, o)) emit(Triple{s, rel, o});
+      return;
+    }
+    // S,P: s's facts of the relation, by o.
+    for (const Fact& f : index_.FactsWith(ls, rel)) {
+      if (!emit(Triple{s, rel, f.other})) return;
+    }
+    return;
+  }
+  if (has_o) {
+    // S,O: s's forward relation groups in order, each probed for o, so p
+    // ascends.
+    const auto rows = index_.DirectoryOf(ls);
+    for (const auto& row : rows) {
+      if (row.rel < 0) continue;
+      const auto facts = index_.FactsOf(ls, &row);
+      const Fact* hit = std::partition_point(
+          facts.data(), facts.data() + facts.size(),
+          [o](const Fact& f) { return f.other < o; });
+      if (hit != facts.data() + facts.size() && hit->other == o &&
+          !emit(Triple{s, row.rel, o})) {
+        return;
+      }
+    }
+    return;
+  }
+  // S: s's forward facts, by (p, o).
+  const auto facts = index_.FactsAbout(ls);
+  for (const Fact* f = FirstForward(facts); f != facts.data() + facts.size();
+       ++f) {
+    if (!emit(Triple{s, f->rel, f->other})) return;
+  }
+}
+
+bool TripleStore::Normalize(TriplePattern* p) const {
+  assert(finalized_);
+  if (!p->bound(TriPos::kRel)) return true;
+  if (!IsPackedRel(p->rel())) return false;
+  // r⁻¹(s, o) matches exactly the statements r(o, s).
+  if (IsInverse(p->rel())) {
+    std::swap(p->slots[0], p->slots[2]);
+    std::swap(p->values[0], p->values[2]);
+    p->values[1] = static_cast<uint32_t>(Inverse(p->rel()));
+  }
+  return true;
+}
+
+size_t TripleStore::Scan(const TriplePattern& pattern, size_t limit,
+                         const std::function<void(const Triple&)>& fn) const {
+  TriplePattern p = pattern;
+  if (!Normalize(&p)) return 0;
+
+  size_t emitted = 0;
+  if (!HasIgnored(p)) {
+    ForEachMatch(p, [&](const Triple& t) {
+      fn(t);
+      ++emitted;
+      return limit == 0 || emitted < limit;
+    });
+    return emitted;
+  }
+
+  // Project, then collapse: sort by (s, p, o) and drop repeats.
+  const bool ignore_s = p.slot(TriPos::kSubject) == Slot::kIgnored;
+  const bool ignore_p = p.slot(TriPos::kRel) == Slot::kIgnored;
+  const bool ignore_o = p.slot(TriPos::kObject) == Slot::kIgnored;
+  std::vector<Triple> rows;
+  ForEachMatch(p, [&](Triple t) {
+    if (ignore_s) t.subject = kNullTerm;
+    if (ignore_p) t.rel = kNullRel;
+    if (ignore_o) t.object = kNullTerm;
+    rows.push_back(t);
+    return true;
+  });
+  std::sort(rows.begin(), rows.end(), [](const Triple& a, const Triple& b) {
+    return std::tie(a.subject, a.rel, a.object) <
+           std::tie(b.subject, b.rel, b.object);
+  });
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  if (limit != 0 && rows.size() > limit) rows.resize(limit);
+  for (const Triple& t : rows) fn(t);
+  return rows.size();
+}
+
+std::vector<Triple> TripleStore::Collect(const TriplePattern& pattern,
+                                         size_t limit) const {
+  std::vector<Triple> out;
+  Scan(pattern, limit, [&out](const Triple& t) { out.push_back(t); });
+  return out;
+}
+
+uint64_t TripleStore::Count(const TriplePattern& pattern) const {
+  TriplePattern p = pattern;
+  if (!Normalize(&p)) return 0;
+  if (HasIgnored(p)) return Scan(pattern, 0, [](const Triple&) {});
+  const bool has_s = p.bound(TriPos::kSubject);
+  const bool has_p = p.bound(TriPos::kRel);
+  const bool has_o = p.bound(TriPos::kObject);
+  if (!has_s && !has_o) {
+    return has_p ? index_.PairsOf(p.rel()).size() : index_.num_triples();
+  }
+  if (has_s != has_o) {
+    // One bound term: its matches are one span of its slice.
+    const uint32_t local = PackedLocal(p.values[has_s ? 0 : 2]);
+    if (local == kNoLocal) return 0;
+    if (has_p) {
+      return index_.FactsWith(local, has_s ? p.rel() : Inverse(p.rel()))
+          .size();
+    }
+    const auto facts = index_.FactsAbout(local);
+    const Fact* split = FirstForward(facts);
+    return has_s ? static_cast<uint64_t>(facts.data() + facts.size() - split)
+                 : static_cast<uint64_t>(split - facts.data());
+  }
+  // S,O and S,P,O: a walk of s's directory.
+  uint64_t n = 0;
+  ForEachMatch(p, [&n](const Triple&) {
+    ++n;
+    return true;
+  });
+  return n;
+}
+
+// ---------------------------------------------------------------------------
 // Snapshot I/O
 // ---------------------------------------------------------------------------
 
@@ -153,8 +344,8 @@ void TripleStore::SaveTo(storage::SnapshotWriter& writer) const {
 void TripleStore::SaveTo(storage::SnapshotWriter& writer,
                          uint32_t version) const {
   assert(finalized_);
-  assert(version >= storage::kMinSnapshotVersion &&
-         version <= storage::kSnapshotVersion);
+  assert(version == storage::kMinSnapshotVersion ||
+         version == storage::kSnapshotVersion);
   writer.WritePodVector(rel_names_);
   writer.WritePodVector(terms_);
   writer.WritePodSpan(index_.offsets());
@@ -164,9 +355,6 @@ void TripleStore::SaveTo(storage::SnapshotWriter& writer,
   if (version >= 3) {
     writer.WritePodSpan(index_.dir_offsets());
     writer.WritePodSpan(index_.dir());
-    writer.WritePodSpan(tri_.spo_rows());
-    writer.WritePodSpan(tri_.pos_rows());
-    writer.WritePodSpan(tri_.osp_rows());
   }
 }
 
@@ -184,9 +372,6 @@ util::StatusOr<TripleStore> TripleStore::LoadFrom(
   storage::Column<TermPair> pairs;
   storage::Column<uint64_t> dir_offsets;
   storage::Column<storage::ColumnarIndex::DirEntry> dir;
-  storage::Column<storage::TriRow> spo;
-  storage::Column<storage::TriRow> pos;
-  storage::Column<storage::TriRow> osp;
   reader.ReadPodVector(&store.rel_names_);
   reader.ReadPodVector(&store.terms_);
   reader.ReadPodColumn(&offsets);
@@ -196,12 +381,26 @@ util::StatusOr<TripleStore> TripleStore::LoadFrom(
   if (version >= 3) {
     reader.ReadPodColumn(&dir_offsets);
     reader.ReadPodColumn(&dir);
-    reader.ReadPodColumn(&spo);
-    reader.ReadPodColumn(&pos);
-    reader.ReadPodColumn(&osp);
+  }
+  // v3 went on with three sorted orderings of the triples, 12-byte rows
+  // each; v4 dropped them. Read past them (the file checksum covers their
+  // bytes) and check only that each holds one row per triple.
+  bool orderings_match = true;
+  if (version == 3) {
+    struct OrderingRow {
+      uint32_t a, b, c;
+    };
+    for (int family = 0; family < 3; ++family) {
+      storage::Column<OrderingRow> rows;
+      reader.ReadPodColumn(&rows);
+      orderings_match = orderings_match && rows.size() == pairs.size();
+    }
   }
   if (!reader.ok()) {
     return util::DataLossError("truncated triple store section");
+  }
+  if (!orderings_match) {
+    return util::DataLossError("v3 triple orderings disagree with the pairs");
   }
 
   const size_t pool_size = pool->size();
@@ -232,28 +431,16 @@ util::StatusOr<TripleStore> TripleStore::LoadFrom(
       pair_offsets.size() != store.rel_names_.size() + 1) {
     return util::DataLossError("inconsistent triple store columns");
   }
-  if (version >= 3) {
-    if (!storage::ColumnarIndex::FromColumns(
-            std::move(offsets), std::move(facts), std::move(pair_offsets),
-            std::move(pairs), std::move(dir_offsets), std::move(dir),
-            reader.view_owner(), &store.index_)) {
-      return util::DataLossError("inconsistent triple store columns");
-    }
-    if (!storage::TriIndex::FromColumns(store.index_, std::move(spo),
-                                        std::move(pos), std::move(osp),
-                                        reader.view_owner(), &store.tri_)) {
-      return util::DataLossError("inconsistent triple-pattern orderings");
-    }
-  } else {
-    if (!storage::ColumnarIndex::FromColumns(
-            std::move(offsets), std::move(facts), std::move(pair_offsets),
-            std::move(pairs), reader.view_owner(), &store.index_)) {
-      return util::DataLossError("inconsistent triple store columns");
-    }
-    // Downlevel (v2) sections predate the persisted orderings; rebuild them
-    // deterministically from the loaded index.
-    store.tri_ = storage::TriIndex::Build(store.index_);
-  }
+  const bool packed =
+      version >= 3
+          ? storage::ColumnarIndex::FromColumns(
+                std::move(offsets), std::move(facts), std::move(pair_offsets),
+                std::move(pairs), std::move(dir_offsets), std::move(dir),
+                reader.view_owner(), &store.index_)
+          : storage::ColumnarIndex::FromColumns(
+                std::move(offsets), std::move(facts), std::move(pair_offsets),
+                std::move(pairs), reader.view_owner(), &store.index_);
+  if (!packed) return util::DataLossError("inconsistent triple store columns");
 
   store.rel_index_.reserve(store.rel_names_.size());
   for (size_t i = 0; i < store.rel_names_.size(); ++i) {

@@ -162,12 +162,12 @@ class TripleStore {
 
   // (first, second) pairs of `rel`, base direction only, sorted by
   // (first, second). For an inverse id the caller should swap the pair
-  // components; `ForEachPair` does this.
+  // components; `ForEachPair` does this. Empty for an id outside
+  // ±[1, packed relations]: kNullRel, garbage, or a relation interned after
+  // Finalize(), which has no packed range until the next MergeDelta().
   std::span<const TermPair> PairsOf(RelId rel) const {
     assert(finalized_);
-    // A relation interned after Finalize() has no packed range until the
-    // next MergeDelta().
-    if (static_cast<size_t>(BaseRel(rel)) > index_.num_relations()) return {};
+    if (!IsPackedRel(rel)) return {};
     return index_.PairsOf(BaseRel(rel));
   }
 
@@ -191,19 +191,40 @@ class TripleStore {
   // The packed storage engine (benchmarks, snapshot deep-equality).
   const storage::ColumnarIndex& index() const { return index_; }
 
-  // The hexastore-style triple-pattern orderings over this store's
-  // distinct statements (query engine; see storage::TriplePattern).
-  // Subject/object components are global term ids.
-  const storage::TriIndex& tri() const { return tri_; }
+  // ---- Triple patterns (requires Finalize()) ----
+  //
+  // Every bound/variable/ignored combination is answered from the packed
+  // index: a bound inverse relation -r swaps the subject and object slots,
+  // then the bound positions pick one access path (the table in
+  // src/paris/storage/README.md fixes each mask's reply order). Matches
+  // are positive-relation statements with global term ids. A bound value
+  // the store does not hold (an unknown term, a relation outside
+  // ±[1, num_relations()]) matches nothing.
+  //
+  // A pattern with an ignored position reports it as kNullTerm / kNullRel,
+  // collapses matches that differ only there, and replies sorted by
+  // (subject, relation, object). Its `limit` applies after that collapse,
+  // so it materializes its whole match range first; an ignore-free pattern
+  // stops at `limit`.
+
+  // Calls fn for each match, stopping after `limit` (0 = no limit).
+  // Returns the number of matches emitted.
+  size_t Scan(const storage::TriplePattern& pattern, size_t limit,
+              const std::function<void(const Triple&)>& fn) const;
+  std::vector<Triple> Collect(const storage::TriplePattern& pattern,
+                              size_t limit = 0) const;
+  // Number of matches: a span size or one slice's walk for an ignore-free
+  // pattern, a counting scan otherwise.
+  uint64_t Count(const storage::TriplePattern& pattern) const;
 
   // ---- Snapshot I/O (see src/storage/README.md) ----
 
   // Serializes the relation registry, term dictionary, and packed index as
   // one section. Requires a finalized store; term ids reference the pool,
   // which must be saved alongside (storage::SaveTermPool). The no-argument
-  // form writes the current format version; `version` ==
-  // storage::kMinSnapshotVersion writes a downlevel v2 section (CSR/POS
-  // only — no TriIndex orderings or relation directory).
+  // form writes the current format version (v4: CSR, POS pairs and the
+  // relation directory); `version` == storage::kMinSnapshotVersion writes
+  // a downlevel v2 section (CSR/POS only). Those are the only two.
   void SaveTo(storage::SnapshotWriter& writer) const;
   void SaveTo(storage::SnapshotWriter& writer, uint32_t version) const;
 
@@ -213,9 +234,11 @@ class TripleStore {
   // become zero-copy views into the mapping — only the dictionaries (the
   // relation-name map and the dense term array) and the derived object
   // column are materialized. `version` is the snapshot file's format
-  // version: v3 sections carry the TriIndex orderings and relation
-  // directory (adopted zero-copy), v2 sections get them rebuilt in memory.
-  // The two-argument form loads the current version.
+  // version, 2 to 4: v3 and v4 sections carry the relation directory
+  // (adopted zero-copy), v2 sections get it rebuilt in memory. A v3
+  // section also holds three triple orderings that nothing reads any more;
+  // they are read past, with their row counts checked against the triple
+  // count. The two-argument form loads the current version.
   static util::StatusOr<TripleStore> LoadFrom(storage::SnapshotReader& reader,
                                               TermPool* pool);
   static util::StatusOr<TripleStore> LoadFrom(storage::SnapshotReader& reader,
@@ -224,6 +247,23 @@ class TripleStore {
 
  private:
   static constexpr uint32_t kNoLocal = UINT32_MAX;
+
+  // True when `rel` lies in ±[1, packed relations].
+  bool IsPackedRel(RelId rel) const {
+    const auto packed = static_cast<int64_t>(index_.num_relations());
+    return rel != kNullRel && rel >= -packed && rel <= packed;
+  }
+
+  // Rewrites a bound inverse relation -r to r with the subject and object
+  // slots swapped. False when the bound relation is not a packed id, so the
+  // pattern matches nothing.
+  bool Normalize(storage::TriplePattern* p) const;
+
+  // Calls emit(triple) for each statement matching the bound positions of
+  // `p` (normalized: any bound relation is a packed positive id), in the
+  // mask's reply order, until emit returns false.
+  template <typename Emit>
+  void ForEachMatch(const storage::TriplePattern& p, Emit&& emit) const;
 
   // The dictionary probe: `t`'s local index, or kNoLocal when `t` is not in
   // this store. Bounds-checked, because the shared pool grows past the
@@ -262,9 +302,6 @@ class TripleStore {
 
   // The packed engine (empty until Finalize()).
   storage::ColumnarIndex index_;
-
-  // The SPO/POS/OSP orderings, kept in lockstep with index_.
-  storage::TriIndex tri_;
 };
 
 }  // namespace paris::rdf

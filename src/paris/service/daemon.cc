@@ -402,52 +402,6 @@ util::Status Daemon::HandleWatch(util::SocketConn& conn,
   }
 }
 
-util::StatusOr<rdf::TermId> Daemon::ResolveTerm(const std::string& key) const {
-  if (!key.empty() && key[0] == '#') {
-    long long raw = 0;
-    if (!util::ParseFullInt64(key.substr(1), &raw) || raw < 0 ||
-        static_cast<size_t>(raw) >= resolver_->left().pool().size()) {
-      return util::InvalidArgumentError("bad raw term id '" + key + "'");
-    }
-    return static_cast<rdf::TermId>(raw);
-  }
-  // The pool is shared by both ontologies, so one lookup covers each side.
-  const auto id = resolver_->left().pool().Find(key, rdf::TermKind::kIri);
-  if (!id.has_value()) {
-    return util::NotFoundError("unknown term '" + key + "'");
-  }
-  return *id;
-}
-
-util::StatusOr<rdf::RelId> Daemon::ResolveRelation(const std::string& key,
-                                                   bool side_is_left) const {
-  std::string name = key;
-  bool inverse = false;
-  if (!name.empty() && name[0] == '-') {
-    inverse = true;
-    name = name.substr(1);
-  }
-  const ontology::Ontology& side =
-      side_is_left ? resolver_->left() : resolver_->right();
-  if (!name.empty() && name[0] == '#') {
-    long long raw = 0;
-    if (!util::ParseFullInt64(name.substr(1), &raw) || raw < 1 ||
-        static_cast<size_t>(raw) > side.store().num_relations()) {
-      return util::InvalidArgumentError("bad raw relation id '" + key + "'");
-    }
-    const auto rel = static_cast<rdf::RelId>(raw);
-    return inverse ? rdf::Inverse(rel) : rel;
-  }
-  const auto name_id = side.pool().Find(name, rdf::TermKind::kIri);
-  if (name_id.has_value()) {
-    const auto rel = side.store().FindRelation(*name_id);
-    if (rel.has_value()) return inverse ? rdf::Inverse(*rel) : *rel;
-  }
-  return util::NotFoundError("unknown relation '" + name + "' in the " +
-                             std::string(side_is_left ? "left" : "right") +
-                             " ontology");
-}
-
 std::string Daemon::HandleLookup(const std::string& payload, size_t slot) {
   // The key is the remainder token, so IRIs containing no spaces and raw
   // "#<id>" forms both pass through unmangled.
@@ -495,7 +449,7 @@ std::string Daemon::HandleLookup(const std::string& payload, size_t slot) {
 
   std::ostringstream out;
   if (kind == "entity") {
-    auto id = ResolveTerm(key);
+    auto id = resolver_->ResolveTerm(key);
     if (!id.ok()) return finish(ErrorReply(id.status()));
     const ontology::Ontology& other_side =
         side_is_left ? resolver_->right() : resolver_->left();
@@ -515,7 +469,10 @@ std::string Daemon::HandleLookup(const std::string& payload, size_t slot) {
       }
     }
   } else if (kind == "relation") {
-    auto rel = ResolveRelation(key, side_is_left);
+    auto rel = resolver_->ResolveRelation(
+        side_is_left ? api::Session::DeltaSide::kLeft
+                     : api::Session::DeltaSide::kRight,
+        key);
     if (!rel.ok()) return finish(ErrorReply(rel.status()));
     const auto matches = reader->RelationSupers(*rel, side_is_left);
     const ontology::Ontology& other_side =
@@ -526,7 +483,7 @@ std::string Daemon::HandleLookup(const std::string& payload, size_t slot) {
           << other_side.RelationName(match.super);
     }
   } else {
-    auto id = ResolveTerm(key);
+    auto id = resolver_->ResolveTerm(key);
     if (!id.ok()) return finish(ErrorReply(id.status()));
     const auto matches = reader->ClassSupers(*id, side_is_left);
     const ontology::Ontology& other_side =
@@ -543,11 +500,10 @@ std::string Daemon::HandleLookup(const std::string& payload, size_t slot) {
 }
 
 std::string Daemon::HandleQuery(const std::string& payload, size_t slot) {
-  // QUERY left|right <s> <p> <o> [limit] — each position is `?` (variable),
-  // `_` (ignored; duplicates collapse), `#<raw id>`, or a lexical IRI name;
-  // the relation additionally accepts a `-` prefix for the inverse
-  // direction. Answered from the ontology pair itself (the TriIndex
-  // orderings), so it works before the first result snapshot exists.
+  // QUERY left|right <s> <p> <o> [limit] — the slots use the token syntax
+  // of api::Session::ParsePattern. Answered from the ontology pair itself
+  // (rdf::TripleStore::Scan over the columnar index), so it works before
+  // the first result snapshot exists.
   const std::vector<std::string> tokens = SplitTokens(payload);
   if (tokens.size() != 5 && tokens.size() != 6) {
     return ErrorReply(util::InvalidArgumentError(
@@ -569,28 +525,11 @@ std::string Daemon::HandleQuery(const std::string& payload, size_t slot) {
     limit = static_cast<size_t>(parsed);
   }
 
-  storage::TriplePattern pattern;
-  if (tokens[2] == "_") {
-    pattern.IgnoreSubject();
-  } else if (tokens[2] != "?") {
-    auto id = ResolveTerm(tokens[2]);
-    if (!id.ok()) return ErrorReply(id.status());
-    pattern.BindSubject(*id);
-  }
-  if (tokens[3] == "_") {
-    pattern.IgnoreRel();
-  } else if (tokens[3] != "?") {
-    auto rel = ResolveRelation(tokens[3], side_is_left);
-    if (!rel.ok()) return ErrorReply(rel.status());
-    pattern.BindRel(*rel);
-  }
-  if (tokens[4] == "_") {
-    pattern.IgnoreObject();
-  } else if (tokens[4] != "?") {
-    auto id = ResolveTerm(tokens[4]);
-    if (!id.ok()) return ErrorReply(id.status());
-    pattern.BindObject(*id);
-  }
+  const auto pattern = resolver_->ParsePattern(
+      side_is_left ? api::Session::DeltaSide::kLeft
+                   : api::Session::DeltaSide::kRight,
+      tokens[2], tokens[3], tokens[4]);
+  if (!pattern.ok()) return ErrorReply(pattern.status());
 
   const auto start = std::chrono::steady_clock::now();
   const auto finish = [&](std::string reply) {
@@ -616,8 +555,8 @@ std::string Daemon::HandleQuery(const std::string& payload, size_t slot) {
   const ontology::Ontology& onto =
       side_is_left ? resolver_->left() : resolver_->right();
   std::ostringstream body;
-  const size_t matched = onto.store().tri().Scan(
-      pattern, limit, [&](const rdf::Triple& t) {
+  const size_t matched = onto.store().Scan(
+      *pattern, limit, [&](const rdf::Triple& t) {
         body << "\n"
              << (t.subject == rdf::kNullTerm ? "_" : onto.TermName(t.subject))
              << "\t"

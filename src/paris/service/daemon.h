@@ -110,12 +110,6 @@ class Daemon {
   std::string HandleMetrics(size_t slot);
   std::string HandleTrace(size_t slot);
 
-  // LOOKUP helpers; `side_is_left` = the queried id lives in the left
-  // ontology. Keys are lexical names or "#<raw id>".
-  util::StatusOr<rdf::TermId> ResolveTerm(const std::string& key) const;
-  util::StatusOr<rdf::RelId> ResolveRelation(const std::string& key,
-                                             bool side_is_left) const;
-
   static std::string RenderJobStatus(const JobQueue::JobStatus& status);
 
   Config config_;

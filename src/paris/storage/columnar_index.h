@@ -59,7 +59,7 @@ class ColumnarIndex {
   // probes over 8-byte rows rather than O(log degree) over the fat slice,
   // which is what makes hub-heavy terms cheap in the fixpoint's inner
   // loops. Derived from the facts column (Build / MergeDelta / v2 load) or
-  // adopted zero-copy from a v3 snapshot.
+  // adopted zero-copy from a v3/v4 snapshot.
   struct DirEntry {
     rdf::RelId rel;
     uint32_t begin;
@@ -127,7 +127,7 @@ class ColumnarIndex {
                           std::shared_ptr<const void> keep_alive,
                           ColumnarIndex* out);
 
-  // Snapshot-v3 variant: the relation directory comes from the file (and
+  // Snapshot-v3/v4 variant: the relation directory comes from the file (and
   // stays zero-copy under an mmap'ed reader) instead of being rebuilt.
   // The directory is validated exactly against the facts column; a
   // mismatch fails the load.
@@ -150,6 +150,16 @@ class ColumnarIndex {
   // over the term's relation-directory rows. Empty (data() == nullptr)
   // when the term has no `rel` facts.
   std::span<const rdf::Fact> FactsWith(uint32_t local, rdf::RelId rel) const;
+
+  // The term's relation-directory rows: one per distinct relation of its
+  // slice, ascending (inverse ids first).
+  std::span<const DirEntry> DirectoryOf(uint32_t local) const {
+    return {dir_.data() + dir_offsets_[local],
+            dir_.data() + dir_offsets_[local + 1]};
+  }
+
+  // The facts behind one row of `DirectoryOf(local)`.
+  std::span<const rdf::Fact> FactsOf(uint32_t local, const DirEntry* row) const;
 
   // The objects y with rel(term, y), as a contiguous sorted id column.
   std::span<const rdf::TermId> ObjectsOf(uint32_t local, rdf::RelId rel) const;

@@ -36,12 +36,13 @@ namespace paris::storage {
 
 inline constexpr char kSnapshotMagic[8] = {'P', 'A', 'R', 'I',
                                            'S', 'N', 'P', '\n'};
-// Current write version. v3 appends the TriIndex orderings (SPO/POS/OSP)
-// and the per-term relation directory as additional zero-copy column
-// families; v2 files (CSR/POS only) still load, with those families
-// rebuilt in memory.
-inline constexpr uint32_t kSnapshotVersion = 3;
-// Oldest ontology-snapshot version the loaders accept.
+// Current write version. v4 stores the CSR, the POS pairs and the per-term
+// relation directory, all adopted zero-copy. Loaders accept v2 to v4: a v2
+// file (CSR/POS only) gets its directory rebuilt in memory, and a v3 file's
+// three triple orderings, which v4 dropped, are read past.
+inline constexpr uint32_t kSnapshotVersion = 4;
+// Oldest ontology-snapshot version the loaders accept, and the only other
+// version the writer still produces (compatibility tests).
 inline constexpr uint32_t kMinSnapshotVersion = 2;
 
 // How a snapshot loader brings a file in. Shared by the ontology snapshots

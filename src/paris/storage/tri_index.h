@@ -1,52 +1,23 @@
 #ifndef PARIS_STORAGE_TRI_INDEX_H_
 #define PARIS_STORAGE_TRI_INDEX_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <span>
-#include <vector>
 
-#include "paris/obs/hooks.h"
 #include "paris/rdf/triple.h"
-#include "paris/storage/column.h"
-
-namespace paris::util {
-class ThreadPool;
-}  // namespace paris::util
 
 namespace paris::storage {
 
-class ColumnarIndex;
-
-// One row of one TriIndex ordering. Components are stored in that
-// ordering's permutation — SPO rows hold (s, p, o), POS rows (p, o, s),
-// OSP rows (o, s, p) — so lexicographic (a, b, c) comparison *is* the
-// family's sort order and one prefix binary search serves every family.
-// `s`/`o` are global term ids; the relation component is the positive
-// relation id (inverse patterns are normalized away before dispatch).
-struct TriRow {
-  uint32_t a;
-  uint32_t b;
-  uint32_t c;
-
-  friend constexpr auto operator<=>(const TriRow&, const TriRow&) = default;
-};
-
 // The three triple positions, in canonical (subject, relation, object)
-// order. Used to address pattern slots and join variables.
+// order. Used to address pattern slots.
 enum class TriPos : uint8_t { kSubject = 0, kRel = 1, kObject = 2 };
-
-// The three sorted orderings. SPO/POS/OSP suffice to answer all 8
-// bound/variable masks with a single range scan (hexastore's "TriIndex"
-// subset): each bound-position subset is a prefix of exactly one ordering.
-enum class TriOrdering : uint8_t { kSpo = 0, kPos = 1, kOsp = 2 };
 
 // A triple pattern: each position is bound to a value, a variable (report
 // its bindings), or ignored (match anything, collapse duplicates). The
 // relation may be bound to an inverse id `-r`; the engine normalizes that
 // to the equivalent positive-relation pattern by swapping the subject and
-// object slots before dispatch.
+// object slots. `rdf::TripleStore::Scan` answers every pattern from the
+// store's `ColumnarIndex` (see src/paris/storage/README.md).
 struct TriplePattern {
   enum class Slot : uint8_t { kVariable = 0, kBound = 1, kIgnored = 2 };
 
@@ -90,108 +61,6 @@ struct TriplePattern {
   Slot slots[3] = {Slot::kVariable, Slot::kVariable, Slot::kVariable};
   uint32_t values[3] = {0, 0, 0};
 };
-
-// Which ordering a (normalized) pattern dispatches to and how long its
-// bound prefix is. Exposed so tests can assert that every mask is answered
-// by one range scan: `bound_prefix` equals the number of bound positions
-// for all 8 masks — only the all-variable pattern scans a whole family.
-struct TriDispatch {
-  TriOrdering ordering;
-  int bound_prefix;
-};
-
-// Hexastore-style triple-pattern index: the three sorted orderings packed
-// as flat row columns next to the CSR/POS families of `ColumnarIndex`.
-// Built from a packed index (Build), reassembled from snapshot columns
-// (FromColumns — zero-copy views when the reader is memory-backed), and
-// kept in sync with delta merges (MergeDelta). All read accessors are
-// allocation-free apart from the result containers and safe to call from
-// many threads.
-class TriIndex {
- public:
-  TriIndex() = default;
-  TriIndex(TriIndex&&) = default;
-  TriIndex& operator=(TriIndex&&) = default;
-  TriIndex(const TriIndex&) = delete;
-  TriIndex& operator=(const TriIndex&) = delete;
-
-  // Derives the three orderings from a packed index's POS pairs. With a
-  // non-null `pool` the three family sorts run concurrently; the result is
-  // identical to a serial build. `hooks` (optional) records one "io" span.
-  static TriIndex Build(const ColumnarIndex& index,
-                        util::ThreadPool* pool = nullptr, obs::Hooks hooks = {});
-
-  // Reassembles the index from raw snapshot columns, validating each family
-  // against `index` (equal row counts, strict sort order, relation range,
-  // and an order-independent content hash that must match the POS pairs).
-  // `keep_alive` pins the mapping when the columns are zero-copy views.
-  // Returns false — leaving `out` untouched — on any mismatch.
-  static bool FromColumns(const ColumnarIndex& index, Column<TriRow> spo,
-                          Column<TriRow> pos, Column<TriRow> osp,
-                          std::shared_ptr<const void> keep_alive,
-                          TriIndex* out);
-
-  // Splices novel statements (distinct triples not yet present, positive
-  // relations) into all three orderings: one backward in-place merge per
-  // family, O(existing + delta). Detaches zero-copy views.
-  void MergeDelta(std::vector<rdf::Triple> novel);
-
-  // ---- Query engine ----
-
-  // The ordering `pattern` (after inverse normalization) dispatches to.
-  static TriDispatch DispatchFor(const TriplePattern& pattern);
-
-  // Emits every match in the chosen ordering's sort order, stopping after
-  // `limit` matches (0 = no limit). Ignored positions are reported as
-  // `kNullTerm` / `kNullRel` and matches differing only there are emitted
-  // once. Returns the number of matches emitted.
-  size_t Scan(const TriplePattern& pattern, size_t limit,
-              const std::function<void(const rdf::Triple&)>& fn) const;
-
-  std::vector<rdf::Triple> Collect(const TriplePattern& pattern,
-                                   size_t limit = 0) const;
-
-  // Number of matches. O(log n) for patterns with no ignored positions
-  // (the dispatch range size); otherwise a counting scan.
-  uint64_t Count(const TriplePattern& pattern) const;
-
-  // Sorted distinct bindings of free position `pos` across every match of
-  // `pattern` (whose `pos` slot must not be bound); the other free
-  // positions are treated as ignored. Stops after `limit` distinct values
-  // (0 = no limit).
-  std::vector<uint32_t> DistinctBindings(const TriplePattern& pattern,
-                                         TriPos pos, size_t limit = 0) const;
-
-  size_t num_triples() const { return spo_.size(); }
-
-  // True when the packed rows alias an mmap'ed snapshot.
-  bool zero_copy() const { return keep_alive_ != nullptr; }
-
-  // ---- Raw columns (snapshot save, deep-equality in tests) ----
-
-  std::span<const TriRow> spo_rows() const { return spo_.span(); }
-  std::span<const TriRow> pos_rows() const { return pos_.span(); }
-  std::span<const TriRow> osp_rows() const { return osp_.span(); }
-
- private:
-  std::span<const TriRow> rows(TriOrdering o) const;
-
-  Column<TriRow> spo_;  // (s, p, o)
-  Column<TriRow> pos_;  // (p, o, s)
-  Column<TriRow> osp_;  // (o, s, p)
-  std::shared_ptr<const void> keep_alive_;  // mapping owner for view columns
-};
-
-// Merge-join of a two-pattern conjunction on one shared variable: the
-// sorted distinct values v such that `a` with its `a_pos` slot bound to v
-// matches in `a_index` and `b` with `b_pos` bound to v matches in
-// `b_index`. The two patterns may address the same index (self-join) or
-// two different ontologies' indexes. Stops after `limit` values (0 = no
-// limit).
-std::vector<uint32_t> MergeJoin(const TriIndex& a_index, const TriplePattern& a,
-                                TriPos a_pos, const TriIndex& b_index,
-                                const TriplePattern& b, TriPos b_pos,
-                                size_t limit = 0);
 
 }  // namespace paris::storage
 

@@ -3,17 +3,19 @@
 //   paris_query LEFT.nt RIGHT.ttl SIDE S P O [options]
 //   paris_query --snapshot PAIR.snap SIDE S P O [options]
 //
-// SIDE is `left` or `right`. Each of S / P / O is one of:
+// SIDE is `left` or `right`. Each of S / P / O is one of (the token syntax
+// of api::Session::ParsePattern):
 //   ?        a variable (match anything, report the binding)
 //   _        ignored (match anything, collapse duplicates)
 //   #<id>    a raw term or relation id
 //   <name>   a lexical IRI (the relation may be prefixed `-` for the
 //            inverse direction)
 //
-// Every pattern is answered by a single range scan of the best-fit
-// hexastore ordering (storage::TriIndex); matches print as
-// subject<TAB>relation<TAB>object lines in that ordering's sort order,
-// with `_` for ignored positions.
+// Every pattern is answered from the side's columnar index
+// (rdf::TripleStore::Scan). Matches print as subject<TAB>relation<TAB>object
+// lines, `_` for ignored positions, in the reply order of the pattern's
+// mask (src/paris/storage/README.md); a pattern with an ignored position
+// prints its distinct rows sorted by (subject, relation, object).
 //
 // Exit status 0 on success (including zero matches), 1 on usage, load, or
 // resolution errors.
@@ -29,50 +31,6 @@ namespace {
 int Fail(const paris::util::Status& status) {
   std::fprintf(stderr, "paris_query: %s\n", status.ToString().c_str());
   return 1;
-}
-
-paris::util::StatusOr<paris::rdf::TermId> ResolveTerm(
-    const paris::ontology::Ontology& onto, const std::string& key) {
-  if (!key.empty() && key[0] == '#') {
-    long long raw = 0;
-    if (!paris::util::ParseFullInt64(key.substr(1), &raw) || raw < 0 ||
-        static_cast<size_t>(raw) >= onto.pool().size()) {
-      return paris::util::InvalidArgumentError("bad raw term id '" + key +
-                                               "'");
-    }
-    return static_cast<paris::rdf::TermId>(raw);
-  }
-  const auto id = onto.pool().Find(key, paris::rdf::TermKind::kIri);
-  if (!id.has_value()) {
-    return paris::util::NotFoundError("unknown term '" + key + "'");
-  }
-  return *id;
-}
-
-paris::util::StatusOr<paris::rdf::RelId> ResolveRelation(
-    const paris::ontology::Ontology& onto, const std::string& key) {
-  std::string name = key;
-  bool inverse = false;
-  if (!name.empty() && name[0] == '-') {
-    inverse = true;
-    name = name.substr(1);
-  }
-  if (!name.empty() && name[0] == '#') {
-    long long raw = 0;
-    if (!paris::util::ParseFullInt64(name.substr(1), &raw) || raw < 1 ||
-        static_cast<size_t>(raw) > onto.store().num_relations()) {
-      return paris::util::InvalidArgumentError("bad raw relation id '" + key +
-                                               "'");
-    }
-    const auto rel = static_cast<paris::rdf::RelId>(raw);
-    return inverse ? paris::rdf::Inverse(rel) : rel;
-  }
-  const auto name_id = onto.pool().Find(name, paris::rdf::TermKind::kIri);
-  if (name_id.has_value()) {
-    const auto rel = onto.store().FindRelation(*name_id);
-    if (rel.has_value()) return inverse ? paris::rdf::Inverse(*rel) : *rel;
-  }
-  return paris::util::NotFoundError("unknown relation '" + name + "'");
 }
 
 }  // namespace
@@ -127,38 +85,16 @@ int main(int argc, char** argv) {
   const paris::ontology::Ontology& onto =
       side_is_left ? session.left() : session.right();
 
-  paris::storage::TriplePattern pattern;
-  const std::string& s = args[base + 1];
-  const std::string& p = args[base + 2];
-  const std::string& o = args[base + 3];
-  if (s == "_") {
-    pattern.IgnoreSubject();
-  } else if (s != "?") {
-    auto id = ResolveTerm(onto, s);
-    if (!id.ok()) return Fail(id.status());
-    pattern.BindSubject(*id);
-  }
-  if (p == "_") {
-    pattern.IgnoreRel();
-  } else if (p != "?") {
-    auto rel = ResolveRelation(onto, p);
-    if (!rel.ok()) return Fail(rel.status());
-    pattern.BindRel(*rel);
-  }
-  if (o == "_") {
-    pattern.IgnoreObject();
-  } else if (o != "?") {
-    auto id = ResolveTerm(onto, o);
-    if (!id.ok()) return Fail(id.status());
-    pattern.BindObject(*id);
-  }
+  const auto pattern = session.ParsePattern(side, args[base + 1],
+                                            args[base + 2], args[base + 3]);
+  if (!pattern.ok()) return Fail(pattern.status());
 
   if (count_only) {
     std::printf("%llu\n", static_cast<unsigned long long>(
-                              onto.store().tri().Count(pattern)));
+                              onto.store().Count(*pattern)));
     return 0;
   }
-  auto matches = session.Query(side, pattern, limit);
+  auto matches = session.Query(side, *pattern, limit);
   if (!matches.ok()) return Fail(matches.status());
   for (const paris::rdf::Triple& t : *matches) {
     std::printf(

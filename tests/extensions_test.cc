@@ -1,12 +1,11 @@
 // Tests for the future-work extensions the paper sketches: the dampening
-// factor (§5.1), the relation-name prior (§7), multi-ontology alignment
-// (§7), and alignment-result serialization.
+// factor (§5.1), the relation-name prior (§7), and alignment-result
+// serialization.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "paris/core/aligner.h"
-#include "paris/core/multi_align.h"
 #include "paris/core/result_io.h"
 #include "paris/ontology/ontology.h"
 #include "paris/synth/profiles.h"
@@ -149,62 +148,6 @@ TEST(RelationScoresTest, BootstrapPriorLookup) {
   EXPECT_DOUBLE_EQ(scores.SubLeftRight(1, 3), 0.1);
   // An inverse pairing gets no name prior.
   EXPECT_DOUBLE_EQ(scores.SubLeftRight(1, -2), 0.1);
-}
-
-// ---------------------------------------------------------------------------
-// Multi-ontology alignment
-// ---------------------------------------------------------------------------
-
-TEST_F(ExtensionsTest, MultiAlignerClustersThreeOntologies) {
-  Ontology a = BuildSmall("a", "name", "next", 8);
-  Ontology b = BuildSmall("b", "label", "succ", 8);
-  Ontology c = BuildSmall("c", "title", "after", 8);
-
-  AlignmentConfig config;
-  config.max_iterations = 4;
-  MultiAligner aligner({&a, &b, &c}, config);
-  MultiAlignmentResult result = aligner.Run();
-
-  ASSERT_EQ(result.pairs.size(), 3u);  // (0,1), (0,2), (1,2)
-  ASSERT_EQ(result.pairwise.size(), 3u);
-  // Every entity i forms one cluster of size 3.
-  ASSERT_EQ(result.clusters.size(), 8u);
-  for (const EntityCluster& cluster : result.clusters) {
-    EXPECT_EQ(cluster.members.size(), 3u);
-    EXPECT_GT(cluster.min_edge_prob, 0.5);
-    // One member per ontology, and all three share the entity index.
-    EXPECT_EQ(cluster.members[0].ontology, 0u);
-    EXPECT_EQ(cluster.members[1].ontology, 1u);
-    EXPECT_EQ(cluster.members[2].ontology, 2u);
-    const std::string a_name(pool_.lexical(cluster.members[0].term));
-    const std::string b_name(pool_.lexical(cluster.members[1].term));
-    EXPECT_EQ(a_name.substr(1), b_name.substr(1));  // ":eN" suffix matches
-  }
-}
-
-TEST_F(ExtensionsTest, MultiAlignerRequiresReciprocalMatches) {
-  // Two ontologies with an ambiguity: two left entities share one label, so
-  // neither is reciprocal-best for the right entity... actually the right
-  // entity's best is deterministic; only that one pair clusters.
-  OntologyBuilder ba(&pool_, "a");
-  ba.AddLiteralFact("a:x1", "a:name", "Twin");
-  ba.AddLiteralFact("a:x2", "a:name", "Twin");
-  auto a = ba.Build();
-  ASSERT_TRUE(a.ok());
-  OntologyBuilder bb(&pool_, "b");
-  bb.AddLiteralFact("b:y", "b:label", "Twin");
-  auto b = bb.Build();
-  ASSERT_TRUE(b.ok());
-
-  AlignmentConfig config;
-  config.max_iterations = 3;
-  MultiAligner aligner({&*a, &*b}, config);
-  MultiAlignmentResult result = aligner.Run();
-  // At most one cluster: b:y can be reciprocal with only one of the twins.
-  ASSERT_LE(result.clusters.size(), 1u);
-  if (!result.clusters.empty()) {
-    EXPECT_EQ(result.clusters[0].members.size(), 2u);
-  }
 }
 
 // ---------------------------------------------------------------------------

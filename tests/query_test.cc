@@ -1,11 +1,14 @@
-// Tests for the hexastore-style triple-pattern engine (storage::TriIndex),
-// its persistence (snapshot v3 columns + v2 rebuild), the Session::Query
-// facade, and the aligner's byte-identity guarantee over the new fast
-// access paths (per-term relation directory, packed type index).
+// Tests for the triple-pattern engine (rdf::TripleStore::Scan over the
+// store's columnar index): answers against brute force, the reply order of
+// every mask, limits, and out-of-range values; its persistence (snapshot v4
+// round trip, v2 and v3 compatibility, corruption); the Session::Query
+// facade; and the aligner's byte-identity guarantee over the fast access
+// paths (per-term relation directory, packed type index).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -33,15 +36,20 @@ namespace {
 using rdf::RelId;
 using rdf::TermId;
 using rdf::Triple;
-using storage::TriIndex;
 using storage::TriplePattern;
 using storage::TriPos;
-using storage::TriRow;
 
 using Slot = TriplePattern::Slot;
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
 }
 
 // Canonical comparable form of an emitted match.
@@ -55,8 +63,15 @@ std::set<Key> KeySet(const std::vector<Triple>& triples) {
   return keys;
 }
 
+std::vector<Key> Keys(const std::vector<Triple>& triples) {
+  std::vector<Key> keys;
+  for (const Triple& t : triples) keys.push_back(KeyOf(t));
+  return keys;
+}
+
 // Every actual statement of a store, as positive-relation triples, by
-// walking the per-term adjacency directly (independent of TriIndex).
+// walking the per-term adjacency directly (independent of the pattern
+// engine).
 std::vector<Triple> AllTriples(const rdf::TripleStore& store) {
   std::vector<Triple> out;
   for (TermId t : store.terms()) {
@@ -107,20 +122,67 @@ void ApplySlot(TriplePattern* p, TriPos pos, Slot state, const Triple& bind) {
   }
 }
 
-void ExpectSameRows(const TriIndex& a, const TriIndex& b) {
-  auto rows_equal = [](std::span<const TriRow> x, std::span<const TriRow> y) {
-    return x.size() == y.size() && std::equal(x.begin(), x.end(), y.begin());
-  };
-  EXPECT_TRUE(rows_equal(a.spo_rows(), b.spo_rows()));
-  EXPECT_TRUE(rows_equal(a.pos_rows(), b.pos_rows()));
-  EXPECT_TRUE(rows_equal(a.osp_rows(), b.osp_rows()));
+constexpr Slot kStates[] = {Slot::kVariable, Slot::kBound, Slot::kIgnored};
+
+// All 27 variable/bound/ignored combinations, bound values from `seed`.
+std::vector<TriplePattern> AllShapes(const Triple& seed) {
+  std::vector<TriplePattern> shapes;
+  for (Slot s_state : kStates) {
+    for (Slot p_state : kStates) {
+      for (Slot o_state : kStates) {
+        TriplePattern p;
+        ApplySlot(&p, TriPos::kSubject, s_state, seed);
+        ApplySlot(&p, TriPos::kRel, p_state, seed);
+        ApplySlot(&p, TriPos::kObject, o_state, seed);
+        shapes.push_back(p);
+      }
+    }
+  }
+  return shapes;
+}
+
+std::string ShapeName(const TriplePattern& p) {
+  std::string name;
+  for (Slot slot : p.slots) {
+    name += slot == Slot::kVariable ? '?' : slot == Slot::kBound ? 'b' : '_';
+  }
+  return name;
+}
+
+// The value of `t` at one position.
+uint32_t At(const Triple& t, TriPos pos) {
+  switch (pos) {
+    case TriPos::kSubject:
+      return t.subject;
+    case TriPos::kRel:
+      return static_cast<uint32_t>(t.rel);
+    case TriPos::kObject:
+      return t.object;
+  }
+  return 0;
+}
+
+// The positions an ignore-free, forward pattern's replies ascend by, per
+// bound mask (the table in src/paris/storage/README.md). The bound
+// positions are fixed, so these free positions order the matches totally.
+std::vector<TriPos> ReplyOrder(const TriplePattern& p) {
+  const bool s = p.bound(TriPos::kSubject);
+  const bool r = p.bound(TriPos::kRel);
+  const bool o = p.bound(TriPos::kObject);
+  if (s && r) return {TriPos::kObject};
+  if (s && o) return {TriPos::kRel};
+  if (s) return {TriPos::kRel, TriPos::kObject};
+  if (r && o) return {TriPos::kSubject};
+  if (r) return {TriPos::kSubject, TriPos::kObject};
+  if (o) return {TriPos::kRel, TriPos::kSubject};
+  return {TriPos::kRel, TriPos::kSubject, TriPos::kObject};
 }
 
 // ---------------------------------------------------------------------------
 // Pattern engine vs brute force
 // ---------------------------------------------------------------------------
 
-class TriIndexQueryTest : public ::testing::Test {
+class PatternQueryTest : public ::testing::Test {
  protected:
   // One ontology with enough shape diversity to make every mask
   // interesting: shared objects across relations, repeated (s, o) pairs
@@ -143,29 +205,20 @@ class TriIndexQueryTest : public ::testing::Test {
     ASSERT_GT(all_.size(), 40u);
   }
 
-  const TriIndex& tri() const { return onto_->store().tri(); }
+  const rdf::TripleStore& store() const { return onto_->store(); }
+
+  // Real statements spread across the store.
+  std::vector<Triple> Seeds() const {
+    return {all_.front(), all_[all_.size() / 3], all_[2 * all_.size() / 3],
+            all_.back()};
+  }
 
   rdf::TermPool pool_;
   std::optional<ontology::Ontology> onto_;
   std::vector<Triple> all_;
 };
 
-TEST_F(TriIndexQueryTest, DispatchUsesFullBoundPrefixForAllMasks) {
-  // Every bound-position subset must be a prefix of its chosen ordering —
-  // i.e. one range scan, never scan-and-filter. Mask bit i = position i
-  // bound (subject, rel, object).
-  for (int mask = 0; mask < 8; ++mask) {
-    TriplePattern p;
-    if (mask & 1) p.BindSubject(3);
-    if (mask & 2) p.BindRel(1);
-    if (mask & 4) p.BindObject(4);
-    const storage::TriDispatch d = TriIndex::DispatchFor(p);
-    EXPECT_EQ(d.bound_prefix, std::popcount(static_cast<unsigned>(mask)))
-        << "mask=" << mask;
-  }
-}
-
-TEST_F(TriIndexQueryTest, AllSlotCombinationsMatchBruteForce) {
+TEST_F(PatternQueryTest, AllSlotCombinationsMatchBruteForce) {
   Build();
   // All 27 variable/bound/ignored combinations, with bound values drawn
   // from several real triples (spread across the store) plus one absent
@@ -185,7 +238,7 @@ TEST_F(TriIndexQueryTest, AllSlotCombinationsMatchBruteForce) {
           ApplySlot(&p, TriPos::kSubject, s_state, seed);
           ApplySlot(&p, TriPos::kRel, p_state, seed);
           ApplySlot(&p, TriPos::kObject, o_state, seed);
-          const std::vector<Triple> got = tri().Collect(p);
+          const std::vector<Triple> got = store().Collect(p);
           const std::set<Key> expect = BruteForce(all_, p);
           EXPECT_EQ(KeySet(got), expect)
               << "slots=" << static_cast<int>(s_state)
@@ -195,20 +248,20 @@ TEST_F(TriIndexQueryTest, AllSlotCombinationsMatchBruteForce) {
           // Matches are emitted exactly once each.
           EXPECT_EQ(got.size(), expect.size());
           // Count agrees with the scan for every shape.
-          EXPECT_EQ(tri().Count(p), expect.size());
+          EXPECT_EQ(store().Count(p), expect.size());
         }
       }
     }
   }
 }
 
-TEST_F(TriIndexQueryTest, InversePatternNormalizesToForwardScan) {
+TEST_F(PatternQueryTest, InversePatternNormalizesToForwardScan) {
   Build();
   const Triple seed = all_[all_.size() / 2];
   // -r with subject/object swapped is the same statement set.
-  const auto forward = tri().Collect(
+  const auto forward = store().Collect(
       TriplePattern().BindSubject(seed.subject).BindRel(seed.rel));
-  const auto inverse = tri().Collect(
+  const auto inverse = store().Collect(
       TriplePattern().BindRel(rdf::Inverse(seed.rel)).BindObject(seed.subject));
   EXPECT_EQ(KeySet(forward), KeySet(inverse));
   ASSERT_FALSE(forward.empty());
@@ -218,91 +271,137 @@ TEST_F(TriIndexQueryTest, InversePatternNormalizesToForwardScan) {
     EXPECT_TRUE(onto_->store().Contains(t.subject, t.rel, t.object));
   }
   // Fully-bound inverse probe.
-  EXPECT_EQ(tri().Count(TriplePattern()
-                            .BindSubject(seed.object)
-                            .BindRel(rdf::Inverse(seed.rel))
-                            .BindObject(seed.subject)),
+  EXPECT_EQ(store().Count(TriplePattern()
+                              .BindSubject(seed.object)
+                              .BindRel(rdf::Inverse(seed.rel))
+                              .BindObject(seed.subject)),
             1u);
 }
 
-TEST_F(TriIndexQueryTest, LimitTruncatesDeterministically) {
+TEST_F(PatternQueryTest, ReplyOrderFollowsTheAccessPath) {
+  Build();
+  for (const Triple& seed : Seeds()) {
+    for (const TriplePattern& p : AllShapes(seed)) {
+      const std::vector<Triple> got = store().Collect(p);
+      if (std::find(std::begin(p.slots), std::end(p.slots), Slot::kIgnored) !=
+          std::end(p.slots)) {
+        // Projected patterns reply distinct rows sorted by (s, p, o).
+        EXPECT_TRUE(std::adjacent_find(got.begin(), got.end(),
+                                       [](const Triple& a, const Triple& b) {
+                                         return !(KeyOf(a) < KeyOf(b));
+                                       }) == got.end())
+            << ShapeName(p);
+        continue;
+      }
+      // Ignore-free patterns reply in their mask's order.
+      std::vector<Triple> expect;
+      for (const Triple& t : all_) {
+        if (!BruteForce({t}, p).empty()) expect.push_back(t);
+      }
+      const std::vector<TriPos> order = ReplyOrder(p);
+      std::sort(expect.begin(), expect.end(),
+                [&order](const Triple& a, const Triple& b) {
+                  for (TriPos pos : order) {
+                    if (At(a, pos) != At(b, pos)) {
+                      return At(a, pos) < At(b, pos);
+                    }
+                  }
+                  return false;
+                });
+      EXPECT_EQ(Keys(got), Keys(expect)) << ShapeName(p);
+    }
+  }
+  // A bound inverse relation replies in the order of its forward twin.
+  const Triple seed = all_[all_.size() / 2];
+  EXPECT_EQ(Keys(store().Collect(TriplePattern()
+                                     .BindSubject(seed.object)
+                                     .BindRel(rdf::Inverse(seed.rel)))),
+            Keys(store().Collect(
+                TriplePattern().BindRel(seed.rel).BindObject(seed.object))));
+}
+
+TEST_F(PatternQueryTest, LimitTruncatesDeterministically) {
   Build();
   const TriplePattern all;
-  const std::vector<Triple> full = tri().Collect(all);
+  const std::vector<Triple> full = store().Collect(all);
   ASSERT_EQ(full.size(), all_.size());
   for (size_t limit : {size_t{1}, size_t{7}, full.size(), full.size() + 10}) {
-    const std::vector<Triple> part = tri().Collect(all, limit);
+    const std::vector<Triple> part = store().Collect(all, limit);
     ASSERT_EQ(part.size(), std::min(limit, full.size()));
     for (size_t i = 0; i < part.size(); ++i) EXPECT_EQ(part[i], full[i]);
   }
-}
-
-TEST_F(TriIndexQueryTest, DistinctBindingsMatchesBruteForce) {
-  Build();
-  // Relation inventory of the whole store.
-  std::set<uint32_t> rels;
-  for (const Triple& t : all_) rels.insert(static_cast<uint32_t>(t.rel));
-  const auto got_rels = tri().DistinctBindings(TriplePattern(), TriPos::kRel);
-  EXPECT_TRUE(std::is_sorted(got_rels.begin(), got_rels.end()));
-  EXPECT_EQ(std::set<uint32_t>(got_rels.begin(), got_rels.end()), rels);
-
-  // Distinct objects of one relation.
-  const RelId rel = all_.front().rel;
-  std::set<uint32_t> objects;
-  for (const Triple& t : all_) {
-    if (t.rel == rel) objects.insert(t.object);
+  // Every mask: limit k returns the first k rows of the unlimited reply.
+  for (const Triple& seed : Seeds()) {
+    for (const TriplePattern& p : AllShapes(seed)) {
+      const std::vector<Key> whole = Keys(store().Collect(p));
+      for (size_t limit : {size_t{1}, size_t{2}, size_t{5}, whole.size(),
+                           whole.size() + 1}) {
+        if (limit == 0) continue;
+        const std::vector<Key> part = Keys(store().Collect(p, limit));
+        const size_t expect = std::min(limit, whole.size());
+        ASSERT_EQ(part.size(), expect) << ShapeName(p) << " limit=" << limit;
+        EXPECT_TRUE(std::equal(part.begin(), part.end(), whole.begin()))
+            << ShapeName(p) << " limit=" << limit;
+        EXPECT_EQ(store().Scan(p, limit, [](const Triple&) {}), expect);
+      }
+    }
   }
-  const auto got_objects =
-      tri().DistinctBindings(TriplePattern().BindRel(rel), TriPos::kObject);
-  EXPECT_EQ(std::set<uint32_t>(got_objects.begin(), got_objects.end()),
-            objects);
-  // Limit keeps the sorted prefix.
-  const auto capped = tri().DistinctBindings(TriplePattern().BindRel(rel),
-                                             TriPos::kObject, 2);
-  ASSERT_LE(capped.size(), 2u);
-  EXPECT_TRUE(std::equal(capped.begin(), capped.end(), got_objects.begin()));
 }
 
-TEST_F(TriIndexQueryTest, MergeJoinMatchesSetIntersection) {
+TEST_F(PatternQueryTest, OutOfRangeValuesMatchNothing) {
   Build();
-  // Self-join: entities that appear as a `knows` object AND a `worksAt`
-  // object.
-  const auto name_id = pool_.Find("l:knows", rdf::TermKind::kIri);
-  ASSERT_TRUE(name_id.has_value());
-  const RelId knows = onto_->store().FindRelation(*name_id).value();
-  const auto works_id = pool_.Find("l:worksAt", rdf::TermKind::kIri);
-  ASSERT_TRUE(works_id.has_value());
-  const RelId works = onto_->store().FindRelation(*works_id).value();
-
-  auto distinct = [&](RelId r) {
-    const auto v =
-        tri().DistinctBindings(TriplePattern().BindRel(r), TriPos::kObject);
-    return std::set<uint32_t>(v.begin(), v.end());
+  const Triple seed = all_[all_.size() / 2];
+  const auto num_relations = static_cast<RelId>(store().num_relations());
+  // In the pool, but in no statement of this store.
+  const TermId absent = pool_.InternIri("l:absent");
+  const TermId bad_terms[] = {static_cast<TermId>(pool_.size() + 5), absent,
+                              UINT32_MAX};
+  const RelId bad_rels[] = {rdf::kNullRel, num_relations + 1,
+                            rdf::Inverse(num_relations + 1), INT32_MIN};
+  const auto expect_empty = [this](const TriplePattern& p,
+                                   const std::string& what) {
+    EXPECT_TRUE(store().Collect(p).empty()) << what << " " << ShapeName(p);
+    EXPECT_EQ(store().Collect(p, 1).size(), 0u) << what << " " << ShapeName(p);
+    EXPECT_EQ(store().Count(p), 0u) << what << " " << ShapeName(p);
   };
-  std::set<uint32_t> expect;
-  std::ranges::set_intersection(distinct(knows), distinct(works),
-                                std::inserter(expect, expect.begin()));
-
-  const std::vector<uint32_t> got = storage::MergeJoin(
-      tri(), TriplePattern().BindRel(knows), TriPos::kObject, tri(),
-      TriplePattern().BindRel(works), TriPos::kObject);
-  EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
-  EXPECT_EQ(std::set<uint32_t>(got.begin(), got.end()), expect);
-  ASSERT_FALSE(got.empty());
-
-  // Limit returns the sorted prefix.
-  const std::vector<uint32_t> capped = storage::MergeJoin(
-      tri(), TriplePattern().BindRel(knows), TriPos::kObject, tri(),
-      TriplePattern().BindRel(works), TriPos::kObject, 1);
-  ASSERT_EQ(capped.size(), 1u);
-  EXPECT_EQ(capped[0], got[0]);
+  // The relation slot's other states, including a bound inverse relation
+  // (normalized by swapping the subject and object slots).
+  const auto rel_slot = [&seed](TriplePattern* p, int state) {
+    if (state == 1) p->BindRel(seed.rel);
+    if (state == 2) p->BindRel(rdf::Inverse(seed.rel));
+    if (state == 3) p->IgnoreRel();
+  };
+  for (Slot a : kStates) {
+    for (Slot b : kStates) {
+      for (RelId bad : bad_rels) {
+        TriplePattern p;
+        ApplySlot(&p, TriPos::kSubject, a, seed);
+        ApplySlot(&p, TriPos::kObject, b, seed);
+        expect_empty(p.BindRel(bad), "relation " + std::to_string(bad));
+      }
+    }
+    for (int rel_state = 0; rel_state < 4; ++rel_state) {
+      for (TermId bad : bad_terms) {
+        const std::string what = "term " + std::to_string(bad);
+        TriplePattern subject;
+        subject.BindSubject(bad);
+        rel_slot(&subject, rel_state);
+        ApplySlot(&subject, TriPos::kObject, a, seed);
+        expect_empty(subject, what);
+        TriplePattern object;
+        ApplySlot(&object, TriPos::kSubject, a, seed);
+        rel_slot(&object, rel_state);
+        expect_empty(object.BindObject(bad), what);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Delta maintenance
 // ---------------------------------------------------------------------------
 
-TEST_F(TriIndexQueryTest, MergeDeltaMatchesColdRebuild) {
+TEST_F(PatternQueryTest, MergedDeltaIsVisibleToEveryMask) {
   Build();
   std::vector<rdf::ParsedTriple> delta;
   auto fact = [](const std::string& s, const std::string& p,
@@ -322,24 +421,25 @@ TEST_F(TriIndexQueryTest, MergeDeltaMatchesColdRebuild) {
   ASSERT_TRUE(summary.ok()) << summary.status().ToString();
   EXPECT_EQ(summary->num_new_statements, 3u);
 
-  // The incrementally merged orderings must be indistinguishable from a
-  // from-scratch build over the merged index.
-  const TriIndex rebuilt = TriIndex::Build(onto_->store().index());
-  EXPECT_EQ(onto_->store().tri().num_triples(), onto_->num_triples());
-  ExpectSameRows(onto_->store().tri(), rebuilt);
-
-  // And queries see the new statements.
+  // Queries see the merged index: every shape around the new statements
+  // equals brute force over the merged adjacency.
   all_ = AllTriples(onto_->store());
-  const TriplePattern p = TriplePattern().BindSubject(
-      *pool_.Find("l:e99", rdf::TermKind::kIri));
-  EXPECT_EQ(KeySet(onto_->store().tri().Collect(p)), BruteForce(all_, p));
+  EXPECT_EQ(store().Count(TriplePattern()), onto_->num_triples());
+  const TermId e99 = *pool_.Find("l:e99", rdf::TermKind::kIri);
+  for (const Triple& seed : all_) {
+    if (seed.subject != e99 && seed.object != e99) continue;
+    for (const TriplePattern& p : AllShapes(seed)) {
+      EXPECT_EQ(KeySet(store().Collect(p)), BruteForce(all_, p))
+          << ShapeName(p);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
-// Persistence: v3 round trip, v2 compatibility, corruption
+// Persistence: v4 round trip, v2 and v3 compatibility, corruption
 // ---------------------------------------------------------------------------
 
-class QuerySnapshotTest : public TriIndexQueryTest {
+class QuerySnapshotTest : public PatternQueryTest {
  protected:
   // Second ontology so the pair snapshot has distinct sides.
   void BuildPair() {
@@ -356,96 +456,195 @@ class QuerySnapshotTest : public TriIndexQueryTest {
     right_.emplace(std::move(built).value());
   }
 
+  // Every shape around two statements of `want` gives the same replies,
+  // in the same order, from `got`, and those equal brute force.
   void ExpectQueriesEqual(const ontology::Ontology& got,
                           const ontology::Ontology& want) {
     const std::vector<Triple> all = AllTriples(want.store());
     ASSERT_EQ(got.num_triples(), want.num_triples());
-    const TriplePattern probes[] = {
-        TriplePattern(),
-        TriplePattern().BindRel(all.front().rel),
-        TriplePattern().BindSubject(all.back().subject),
-        TriplePattern().BindObject(all.front().object).IgnoreRel(),
-    };
-    for (const TriplePattern& p : probes) {
-      EXPECT_EQ(KeySet(got.store().tri().Collect(p)), BruteForce(all, p));
+    for (const Triple& seed : {all.front(), all.back()}) {
+      for (const TriplePattern& p : AllShapes(seed)) {
+        const std::vector<Triple> replies = got.store().Collect(p);
+        EXPECT_EQ(KeySet(replies), BruteForce(all, p)) << ShapeName(p);
+        EXPECT_EQ(Keys(replies), Keys(want.store().Collect(p)))
+            << ShapeName(p);
+      }
     }
+  }
+
+  // Loads `path` in both modes and checks both sides against the pair.
+  void ExpectLoadsAsPair(const std::string& path) {
+    for (const auto mode : {ontology::SnapshotLoadMode::kStream,
+                            ontology::SnapshotLoadMode::kMmap}) {
+      rdf::TermPool fresh;
+      auto loaded = ontology::LoadAlignmentSnapshot(path, &fresh, mode);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      EXPECT_EQ(loaded->left.store().index().zero_copy(),
+                mode == ontology::SnapshotLoadMode::kMmap);
+      ExpectQueriesEqual(loaded->left, *onto_);
+      ExpectQueriesEqual(loaded->right, *right_);
+    }
+  }
+
+  // Flips one byte at a time across the whole file, in strides, and
+  // requires every flip to be rejected in both load modes.
+  void ExpectByteFlipsRejected(const std::string& path) {
+    const std::string bytes = ReadFile(path);
+    ASSERT_FALSE(bytes.empty()) << path;
+    const std::string bad_path = TempPath("query_flipped.snap");
+    for (size_t offset = 0; offset < bytes.size();
+         offset += 1 + bytes.size() / 61) {
+      std::string mutated = bytes;
+      mutated[offset] = static_cast<char>(mutated[offset] ^ 0x5a);
+      {
+        std::ofstream out(bad_path, std::ios::binary | std::ios::trunc);
+        out << mutated;
+      }
+      for (const auto mode : {ontology::SnapshotLoadMode::kStream,
+                              ontology::SnapshotLoadMode::kMmap}) {
+        rdf::TermPool scratch;
+        EXPECT_FALSE(
+            ontology::LoadAlignmentSnapshot(bad_path, &scratch, mode).ok())
+            << path << ": byte flip at offset " << offset
+            << " was not rejected";
+      }
+    }
+    std::remove(bad_path.c_str());
   }
 
   std::optional<ontology::Ontology> right_;
 };
 
-TEST_F(QuerySnapshotTest, V3RoundTripsStreamAndMmap) {
+TEST_F(QuerySnapshotTest, V4RoundTripsStreamAndMmap) {
   BuildPair();
-  const std::string path = TempPath("query_v3.snap");
+  const std::string path = TempPath("query_v4.snap");
   ASSERT_TRUE(ontology::SaveAlignmentSnapshot(path, *onto_, *right_).ok());
+  EXPECT_EQ(ReadFile(path).substr(8, 4),
+            std::string("\x04\x00\x00\x00", 4));
+  ExpectLoadsAsPair(path);
 
-  rdf::TermPool stream_pool;
-  auto streamed = ontology::LoadAlignmentSnapshot(
-      path, &stream_pool, ontology::SnapshotLoadMode::kStream);
-  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-  EXPECT_FALSE(streamed->left.store().tri().zero_copy());
-  ExpectSameRows(streamed->left.store().tri(), onto_->store().tri());
-  ExpectSameRows(streamed->right.store().tri(), right_->store().tri());
-  ExpectQueriesEqual(streamed->left, *onto_);
-  ExpectQueriesEqual(streamed->right, *right_);
-
+  // Delta ingestion detaches the zero-copy views, and queries see the
+  // merged statements.
   rdf::TermPool mmap_pool;
   auto mapped = ontology::LoadAlignmentSnapshot(
       path, &mmap_pool, ontology::SnapshotLoadMode::kMmap);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  // The tri rows alias the mapping: no heap copies on the mmap path.
-  EXPECT_TRUE(mapped->left.store().tri().zero_copy());
-  EXPECT_TRUE(mapped->right.store().tri().zero_copy());
-  ExpectSameRows(mapped->left.store().tri(), onto_->store().tri());
-  ExpectQueriesEqual(mapped->left, *onto_);
-  ExpectQueriesEqual(mapped->right, *right_);
-
-  // Delta ingestion must detach the zero-copy views and keep the merged
-  // orderings equal to a cold rebuild.
+  ASSERT_TRUE(mapped->left.store().index().zero_copy());
   std::vector<rdf::ParsedTriple> delta(1);
   delta[0].subject = "l:e0";
   delta[0].predicate = "l:knows";
   delta[0].object = "l:e7";
   ASSERT_TRUE(mapped->left.ApplyDelta(delta).ok());
-  EXPECT_FALSE(mapped->left.store().tri().zero_copy());
-  ExpectSameRows(mapped->left.store().tri(),
-                 TriIndex::Build(mapped->left.store().index()));
+  EXPECT_FALSE(mapped->left.store().index().zero_copy());
+  const std::vector<Triple> merged = AllTriples(mapped->left.store());
+  const TriplePattern about_e0 = TriplePattern().BindSubject(
+      *mmap_pool.Find("l:e0", rdf::TermKind::kIri));
+  EXPECT_EQ(KeySet(mapped->left.store().Collect(about_e0)),
+            BruteForce(merged, about_e0));
   std::remove(path.c_str());
 }
 
-TEST_F(QuerySnapshotTest, V2SnapshotLoadsWithRebuiltTriIndex) {
+TEST_F(QuerySnapshotTest, V2SnapshotLoads) {
   BuildPair();
   const std::string path = TempPath("query_v2.snap");
-  // Write the previous on-disk format: no directory, no tri-row columns.
+  // Write the oldest format the writer still produces: no directory.
   ASSERT_TRUE(ontology::SaveAlignmentSnapshot(path, *onto_, *right_,
                                               storage::kMinSnapshotVersion)
                   .ok());
-  // A v2 file is strictly smaller than the same pair at v3.
-  const std::string v3_path = TempPath("query_v2_as_v3.snap");
-  ASSERT_TRUE(ontology::SaveAlignmentSnapshot(v3_path, *onto_, *right_).ok());
-  std::ifstream v2_in(path, std::ios::binary | std::ios::ate);
-  std::ifstream v3_in(v3_path, std::ios::binary | std::ios::ate);
-  EXPECT_LT(v2_in.tellg(), v3_in.tellg());
+  // A v2 file is strictly smaller than the same pair at v4.
+  const std::string v4_path = TempPath("query_v2_as_v4.snap");
+  ASSERT_TRUE(ontology::SaveAlignmentSnapshot(v4_path, *onto_, *right_).ok());
+  EXPECT_LT(ReadFile(path).size(), ReadFile(v4_path).size());
 
-  for (const auto mode : {ontology::SnapshotLoadMode::kStream,
-                          ontology::SnapshotLoadMode::kMmap}) {
-    rdf::TermPool fresh;
-    auto loaded = ontology::LoadAlignmentSnapshot(path, &fresh, mode);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    // The tri index is rebuilt in memory and answers identically.
-    ExpectSameRows(loaded->left.store().tri(), onto_->store().tri());
-    ExpectSameRows(loaded->right.store().tri(), right_->store().tri());
-    ExpectQueriesEqual(loaded->left, *onto_);
-    ExpectQueriesEqual(loaded->right, *right_);
-  }
+  ExpectLoadsAsPair(path);
+  ExpectByteFlipsRejected(path);
   std::remove(path.c_str());
-  std::remove(v3_path.c_str());
+  std::remove(v4_path.c_str());
+}
+
+// tests/golden/query_pair_v3.snapshot is BuildPair()'s pair as the v3
+// writer wrote it, orderings included, before v4 dropped them.
+TEST_F(QuerySnapshotTest, V3SnapshotFromTheOldWriterLoads) {
+  BuildPair();
+  const std::string path =
+      std::string(PARIS_GOLDEN_DIR) + "/query_pair_v3.snapshot";
+  const std::string bytes = ReadFile(path);
+  ASSERT_EQ(bytes.size(), 7852u) << path;
+  ASSERT_EQ(bytes.substr(8, 4), std::string("\x03\x00\x00\x00", 4));
+
+  ExpectLoadsAsPair(path);
+  ExpectByteFlipsRejected(path);
+
+  // Re-saving the loaded pair writes v4, without the orderings.
+  rdf::TermPool fresh;
+  auto loaded = ontology::LoadAlignmentSnapshot(path, &fresh);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const std::string v4_path = TempPath("query_v3_as_v4.snap");
+  ASSERT_TRUE(
+      ontology::SaveAlignmentSnapshot(v4_path, loaded->left, loaded->right)
+          .ok());
+  EXPECT_LT(ReadFile(v4_path).size(), bytes.size());
+  std::remove(v4_path.c_str());
+}
+
+// A v3 store section is v4's plus three orderings of 12-byte rows. The
+// loader reads past them, but each must hold one row per triple.
+TEST_F(QuerySnapshotTest, V3OrderingCountsMustMatchTripleCount) {
+  Build();
+  struct OrderingRow {
+    uint32_t a, b, c;
+  };
+  const size_t n = store().num_triples();
+  const auto section = [this](size_t spo, size_t pos, size_t osp) {
+    std::ostringstream raw;
+    storage::SnapshotWriter writer(raw);
+    storage::WriteSnapshotHeader(writer, raw, 3);
+    store().SaveTo(writer, storage::kSnapshotVersion);
+    for (size_t rows : {spo, pos, osp}) {
+      writer.WritePodVector(std::vector<OrderingRow>(rows));
+    }
+    return raw.str();
+  };
+  struct Case {
+    size_t spo, pos, osp;
+    bool ok;
+  };
+  const Case cases[] = {{n, n, n, true},
+                        {n - 1, n, n, false},
+                        {n, n + 1, n, false},
+                        {n, n, 0, false}};
+  for (const Case& c : cases) {
+    const std::string bytes = section(c.spo, c.pos, c.osp);
+    const std::string where = "counts " + std::to_string(c.spo) + "/" +
+                              std::to_string(c.pos) + "/" +
+                              std::to_string(c.osp);
+    // Streaming: the caller consumes the magic before the reader.
+    std::istringstream in(bytes.substr(sizeof(storage::kSnapshotMagic)));
+    storage::SnapshotReader streamed(in);
+    // Memory-backed: the reader starts after the magic.
+    storage::SnapshotReader mapped(
+        std::as_bytes(std::span(bytes.data(), bytes.size())));
+    for (storage::SnapshotReader* reader : {&streamed, &mapped}) {
+      ASSERT_EQ(reader->ReadU32(), 3u);
+      auto loaded = rdf::TripleStore::LoadFrom(*reader, &pool_, 3);
+      if (c.ok) {
+        ASSERT_TRUE(loaded.ok()) << where << ": " << loaded.status().ToString();
+        EXPECT_EQ(loaded->num_triples(), n);
+        EXPECT_EQ(KeySet(loaded->Collect({})), KeySet(all_));
+      } else {
+        ASSERT_FALSE(loaded.ok()) << where;
+        EXPECT_EQ(loaded.status().code(), util::StatusCode::kDataLoss)
+            << where << ": " << loaded.status().ToString();
+      }
+    }
+  }
 }
 
 TEST_F(QuerySnapshotTest, UnsupportedWriteVersionRejected) {
   BuildPair();
   const std::string path = TempPath("query_bad_version.snap");
-  for (uint32_t version : {uint32_t{0}, uint32_t{1},
+  // v3 loads but is no longer written: its orderings are gone.
+  for (uint32_t version : {uint32_t{0}, uint32_t{1}, uint32_t{3},
                            storage::kSnapshotVersion + 1}) {
     const auto status =
         ontology::SaveAlignmentSnapshot(path, *onto_, *right_, version);
@@ -458,15 +657,9 @@ TEST_F(QuerySnapshotTest, CorruptTriColumnsRejected) {
   BuildPair();
   const std::string path = TempPath("query_corrupt_base.snap");
   ASSERT_TRUE(ontology::SaveAlignmentSnapshot(path, *onto_, *right_).ok());
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    bytes = buffer.str();
-  }
-  // Flip bytes across the second half of the file — where the appended v3
-  // columns (directory + tri rows) of the left section live — and require
+  const std::string bytes = ReadFile(path);
+  // Flip bytes across the second half of the file — where the left
+  // section's relation directory and the right section live — and require
   // every flip to be caught (section checksum or FromColumns validation).
   const std::string bad_path = TempPath("query_corrupt.snap");
   for (size_t offset = bytes.size() / 2; offset < bytes.size();
@@ -518,7 +711,7 @@ TEST(SessionQueryTest, QueriesBothSidesThroughFacade) {
   auto left = session.Query(api::Session::DeltaSide::kLeft, TriplePattern());
   ASSERT_TRUE(left.ok()) << left.status().ToString();
   EXPECT_EQ(left->size(), 2u);
-  EXPECT_EQ(KeySet(*left), KeySet(session.left().store().tri().Collect({})));
+  EXPECT_EQ(KeySet(*left), KeySet(session.left().store().Collect({})));
 
   auto right =
       session.Query(api::Session::DeltaSide::kRight, TriplePattern(), 1);
