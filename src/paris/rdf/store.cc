@@ -219,28 +219,14 @@ void TripleStore::ForEachMatch(const TriplePattern& p, Emit&& emit) const {
     }
     return;
   }
-  if (has_o) {
-    // S,O: s's forward relation groups in order, each probed for o, so p
-    // ascends.
-    const auto rows = index_.DirectoryOf(ls);
-    for (const auto& row : rows) {
-      if (row.rel < 0) continue;
-      const auto facts = index_.FactsOf(ls, &row);
-      const Fact* hit = std::partition_point(
-          facts.data(), facts.data() + facts.size(),
-          [o](const Fact& f) { return f.other < o; });
-      if (hit != facts.data() + facts.size() && hit->other == o &&
-          !emit(Triple{s, row.rel, o})) {
-        return;
-      }
-    }
-    return;
-  }
-  // S: s's forward facts, by (p, o).
+  // S: s's forward facts, by (p, o). S,O: those whose object is o, so p
+  // ascends.
   const auto facts = index_.FactsAbout(ls);
   for (const Fact* f = FirstForward(facts); f != facts.data() + facts.size();
        ++f) {
-    if (!emit(Triple{s, f->rel, f->other})) return;
+    if ((!has_o || f->other == o) && !emit(Triple{s, f->rel, f->other})) {
+      return;
+    }
   }
 }
 
@@ -324,7 +310,7 @@ uint64_t TripleStore::Count(const TriplePattern& pattern) const {
     return has_s ? static_cast<uint64_t>(facts.data() + facts.size() - split)
                  : static_cast<uint64_t>(split - facts.data());
   }
-  // S,O and S,P,O: a walk of s's directory.
+  // S,P,O: a point lookup. S,O: a scan of s's forward facts.
   uint64_t n = 0;
   ForEachMatch(p, [&n](const Triple&) {
     ++n;
