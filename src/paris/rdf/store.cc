@@ -191,17 +191,19 @@ void TripleStore::ForEachMatch(const TriplePattern& p, Emit&& emit) const {
       }
       return;
     }
-    // O: o's inverse relation groups, walked from the last (-p ascending
-    // means p descending) so p ascends, each by s.
-    const auto rows = index_.DirectoryOf(lo);
-    const auto* row = std::partition_point(
-        rows.data(), rows.data() + rows.size(),
-        [](const storage::ColumnarIndex::DirEntry& e) { return e.rel < 0; });
-    while (row != rows.data()) {
-      --row;
-      for (const Fact& f : index_.FactsOf(lo, row)) {
-        if (!emit(Triple{f.other, Inverse(row->rel), o})) return;
+    // O: o's inverse facts. They sort by (-p, s), so walking their
+    // relation groups from the last makes p ascend; each group lists s
+    // ascending.
+    const auto facts = index_.FactsAbout(lo);
+    const Fact* end = FirstForward(facts);
+    while (end != facts.data()) {
+      const RelId group = end[-1].rel;
+      const Fact* begin = std::partition_point(
+          facts.data(), end, [group](const Fact& f) { return f.rel < group; });
+      for (const Fact* f = begin; f != end; ++f) {
+        if (!emit(Triple{f->other, Inverse(group), o})) return;
       }
+      end = begin;
     }
     return;
   }

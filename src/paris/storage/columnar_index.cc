@@ -538,26 +538,21 @@ bool ColumnarIndex::FromColumns(Column<uint64_t> offsets,
   return true;
 }
 
-std::span<const rdf::Fact> ColumnarIndex::FactsOf(uint32_t local,
-                                                  const DirEntry* row) const {
-  const uint64_t slice_begin = offsets_[local];
-  const uint64_t begin = slice_begin + row->begin;
-  const uint64_t end = row + 1 == dir_.data() + dir_offsets_[local + 1]
-                           ? offsets_[local + 1]
-                           : slice_begin + (row + 1)->begin;
-  return {facts_.data() + begin, facts_.data() + end};
-}
-
 std::span<const rdf::Fact> ColumnarIndex::FactsWith(uint32_t local,
                                                     rdf::RelId rel) const {
   // Binary search over the term's compact relation-directory rows instead
   // of its full fact slice: O(log distinct-relations) 8-byte probes.
-  const std::span<const DirEntry> rows = DirectoryOf(local);
-  const auto it = std::lower_bound(
-      rows.begin(), rows.end(), rel,
+  const uint64_t slice_begin = offsets_[local];
+  const DirEntry* lo = dir_.data() + dir_offsets_[local];
+  const DirEntry* hi = dir_.data() + dir_offsets_[local + 1];
+  const DirEntry* it = std::lower_bound(
+      lo, hi, rel,
       [](const DirEntry& e, rdf::RelId r) { return e.rel < r; });
-  if (it == rows.end() || it->rel != rel) return {};
-  return FactsOf(local, &*it);
+  if (it == hi || it->rel != rel) return {};
+  const uint64_t begin = slice_begin + it->begin;
+  const uint64_t end =
+      it + 1 == hi ? offsets_[local + 1] : slice_begin + (it + 1)->begin;
+  return {facts_.data() + begin, facts_.data() + end};
 }
 
 std::span<const rdf::TermId> ColumnarIndex::ObjectsOf(uint32_t local,

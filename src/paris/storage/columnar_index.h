@@ -151,16 +151,6 @@ class ColumnarIndex {
   // when the term has no `rel` facts.
   std::span<const rdf::Fact> FactsWith(uint32_t local, rdf::RelId rel) const;
 
-  // The term's relation-directory rows: one per distinct relation of its
-  // slice, ascending (inverse ids first).
-  std::span<const DirEntry> DirectoryOf(uint32_t local) const {
-    return {dir_.data() + dir_offsets_[local],
-            dir_.data() + dir_offsets_[local + 1]};
-  }
-
-  // The facts behind one row of `DirectoryOf(local)`.
-  std::span<const rdf::Fact> FactsOf(uint32_t local, const DirEntry* row) const;
-
   // The objects y with rel(term, y), as a contiguous sorted id column.
   std::span<const rdf::TermId> ObjectsOf(uint32_t local, rdf::RelId rel) const;
 
