@@ -133,11 +133,11 @@ int Main(int argc, char** argv) {
   seeds.reserve(kQueries);
   {
     std::vector<rdf::Triple> all = store.Collect({});
-    std::sort(all.begin(), all.end(), [](const rdf::Triple& a,
-                                         const rdf::Triple& b) {
-      return std::tie(a.subject, a.rel, a.object) <
-             std::tie(b.subject, b.rel, b.object);
-    });
+    std::sort(all.begin(), all.end(),
+              [](const rdf::Triple& a, const rdf::Triple& b) {
+                return std::tie(a.subject, a.rel, a.object) <
+                       std::tie(b.subject, b.rel, b.object);
+              });
     util::Rng rng(0xBEEF);
     for (size_t i = 0; i < kQueries; ++i) {
       seeds.push_back(

@@ -56,8 +56,8 @@ void PrintSchema(const char* label, const paris::ontology::Ontology& onto) {
 
 // The distinct objects of one relation, ascending: a (_, r, ?) pattern
 // replies sorted by object.
-std::vector<paris::rdf::TermId> ObjectsOf(const paris::ontology::Ontology& onto,
-                                          paris::rdf::RelId rel) {
+std::vector<paris::rdf::TermId> DistinctObjects(
+    const paris::ontology::Ontology& onto, paris::rdf::RelId rel) {
   std::vector<paris::rdf::TermId> objects;
   for (const paris::rdf::Triple& row : onto.store().Collect(
            paris::storage::TriplePattern().IgnoreSubject().BindRel(rel))) {
@@ -115,8 +115,10 @@ int main(int argc, char** argv) {
   const paris::rdf::RelId right_name = FindRel(right, "dbp:birthName");
   if (left_label != paris::rdf::kNullRel &&
       right_name != paris::rdf::kNullRel) {
-    const std::vector<paris::rdf::TermId> labels = ObjectsOf(left, left_label);
-    const std::vector<paris::rdf::TermId> names = ObjectsOf(right, right_name);
+    const std::vector<paris::rdf::TermId> labels =
+        DistinctObjects(left, left_label);
+    const std::vector<paris::rdf::TermId> names =
+        DistinctObjects(right, right_name);
     std::vector<paris::rdf::TermId> shared;
     std::set_intersection(labels.begin(), labels.end(), names.begin(),
                           names.end(), std::back_inserter(shared));
