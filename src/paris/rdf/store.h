@@ -236,9 +236,9 @@ class TripleStore {
   // column are materialized. `version` is the snapshot file's format
   // version, 2 to 4: v3 and v4 sections carry the relation directory
   // (adopted zero-copy), v2 sections get it rebuilt in memory. A v3
-  // section also holds three triple orderings that nothing reads any more;
-  // they are read past, with their row counts checked against the triple
-  // count. The two-argument form loads the current version.
+  // section also holds three sorted orderings of the triples after the
+  // directory; they are read past, with their row counts checked against
+  // the triple count. The two-argument form loads the current version.
   static util::StatusOr<TripleStore> LoadFrom(storage::SnapshotReader& reader,
                                               TermPool* pool);
   static util::StatusOr<TripleStore> LoadFrom(storage::SnapshotReader& reader,
