@@ -2,7 +2,6 @@
 #define PARIS_ONTOLOGY_FUNCTIONALITY_H_
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "paris/rdf/store.h"
@@ -36,20 +35,23 @@ struct DirectionStats {
   double sum_squared_degree = 0.0;  // Σ_x (#y:r(x,y))² = #(x,y,y')
 };
 
-// Precomputed functionalities for every signed relation of one store. Per
-// §5.1 of the paper, functionalities are computed once per ontology upfront
-// (the no-duplicates-within-one-ontology assumption makes them constant).
+// The degree statistics of every signed relation of one store, from which
+// the global functionalities follow in O(1). Per §5.1 of the paper they are
+// computed once per ontology upfront (the no-duplicates-within-one-ontology
+// assumption makes them constant); an ontology rebuilds its table after
+// each delta merge.
+//
+// The statistics are counted from the store's relation directory
+// (storage::ColumnarIndex): a term's row for relation r says the term holds
+// n facts of r, i.e. it is the first argument of n pairs of r's direction
+// (a negative r is the inverse direction). So one linear pass over the
+// directory rows — at most one per adjacency fact, no hashing, no fact
+// read — fills all 2R directions. A direction's distinct second arguments
+// are its opposite direction's distinct first arguments.
 class FunctionalityTable {
  public:
-  // Computes statistics for every relation of the (finalized) store.
+  // Counts the statistics of every relation of the (finalized) store.
   explicit FunctionalityTable(const rdf::TripleStore& store);
-
-  // Brings the table up to date after `store` gained pairs: recomputes the
-  // statistics of `relations` (the relations that gained pairs) and adds
-  // those of relations registered since. A relation's statistics depend
-  // only on its own pairs, so the result equals a freshly built table.
-  void Update(const rdf::TripleStore& store,
-              std::span<const rdf::RelId> relations);
 
   // Global functionality of `rel` (which may be an inverse id) under
   // `variant`. Always in [0, 1]; relations with no pairs report 0.
@@ -71,8 +73,11 @@ class FunctionalityTable {
                       rdf::TermId x);
 
  private:
-  // Fills both directions of one base relation from its pairs.
-  void Compute(const rdf::TripleStore& store, size_t base);
+  // Index of `rel`'s direction in stats_.
+  static size_t Slot(rdf::RelId rel) {
+    return 2 * (static_cast<size_t>(rdf::BaseRel(rel)) - 1) +
+           (rdf::IsInverse(rel) ? 1 : 0);
+  }
 
   // stats_[2*(base-1)] = forward direction, stats_[2*(base-1)+1] = inverse.
   std::vector<DirectionStats> stats_;

@@ -142,9 +142,6 @@ class Ontology {
   struct DeltaSummary {
     // Terms that gained statements or types (includes literal objects).
     std::vector<rdf::TermId> touched_terms;
-    // Base relations that gained pairs; their global functionalities (and
-    // possibly every relation's sub-relation scores against them) changed.
-    std::vector<rdf::RelId> touched_relations;
     // Instance terms first seen by this delta.
     std::vector<rdf::TermId> new_instances;
     // Distinct novel statements (duplicates of existing facts are dropped).
@@ -160,8 +157,8 @@ class Ontology {
   // recorded exactly as given); rdf:type statements are closed under the
   // existing subclass hierarchy here. The store merge is an in-place splice
   // of the touched CSR/POS slices (rdf/store.h MergeDelta), after which the
-  // global functionalities of the touched relations are recomputed over the
-  // merged store. On error the ontology is unchanged.
+  // functionality table is recounted from the merged store's relation
+  // directory. On error the ontology is unchanged.
   util::StatusOr<DeltaSummary> ApplyDelta(
       std::span<const rdf::ParsedTriple> triples,
       util::ThreadPool* thread_pool = nullptr, obs::Hooks hooks = {});

@@ -14,8 +14,8 @@ namespace paris::ontology {
 // format (src/storage/snapshot.h). A snapshot file holds the shared term
 // pool, both ontologies of an alignment run (name, packed triple store,
 // class/instance partition, closed type and subclass indexes), and a
-// checksum trailer. Functionality tables are recomputed on load — they are
-// a deterministic function of the packed store.
+// checksum trailer. Functionality tables are counted on load from the
+// store's relation directory — they are a deterministic function of it.
 //
 // `SaveOntologySection` / `LoadOntologySection` (declared in ontology.h as
 // friends) write one ontology; the functions below frame a whole file.

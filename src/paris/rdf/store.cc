@@ -101,17 +101,14 @@ TripleStore::DeltaMergeResult TripleStore::MergeDelta(util::ThreadPool* pool,
   DeltaMergeResult result;
   for (const auto& e : kept) {
     result.touched_terms.push_back(terms_[e.owner]);
-    result.touched_relations.push_back(BaseRel(e.rel));
     // Each novel statement appears once with a positive relation (its
     // inverse half carries the negated id).
     if (e.rel > 0) ++result.num_new_statements;
   }
-  auto canonicalize = [](auto& v) {
-    std::sort(v.begin(), v.end());
-    v.erase(std::unique(v.begin(), v.end()), v.end());
-  };
-  canonicalize(result.touched_terms);
-  canonicalize(result.touched_relations);
+  std::sort(result.touched_terms.begin(), result.touched_terms.end());
+  result.touched_terms.erase(
+      std::unique(result.touched_terms.begin(), result.touched_terms.end()),
+      result.touched_terms.end());
   return result;
 }
 

@@ -76,13 +76,11 @@ class TripleStore {
   }
 
   // What one MergeDelta() changed: exactly the terms that gained statements
-  // and the (positive, base) relations that gained pairs — already-present
-  // delta statements are dropped and contribute nothing. Both lists are
-  // sorted and deduplicated, so downstream consumers iterate them in a
-  // canonical order regardless of ingest order.
+  // — already-present delta statements are dropped and contribute nothing.
+  // The list is sorted and deduplicated, so downstream consumers iterate it
+  // in a canonical order regardless of ingest order.
   struct DeltaMergeResult {
     std::vector<TermId> touched_terms;
-    std::vector<RelId> touched_relations;
     size_t num_new_statements = 0;  // distinct novel triples (no inverses)
   };
 

@@ -549,10 +549,8 @@ std::span<const rdf::Fact> ColumnarIndex::FactsWith(uint32_t local,
       lo, hi, rel,
       [](const DirEntry& e, rdf::RelId r) { return e.rel < r; });
   if (it == hi || it->rel != rel) return {};
-  const uint64_t begin = slice_begin + it->begin;
-  const uint64_t end =
-      it + 1 == hi ? offsets_[local + 1] : slice_begin + (it + 1)->begin;
-  return {facts_.data() + begin, facts_.data() + end};
+  return {facts_.data() + slice_begin + it->begin,
+          facts_.data() + slice_begin + RunEnd(local, it, hi)};
 }
 
 std::span<const rdf::TermId> ColumnarIndex::ObjectsOf(uint32_t local,

@@ -157,6 +157,21 @@ class ColumnarIndex {
   // True if rel(term, other) is a statement.
   bool Contains(uint32_t local, rdf::RelId rel, rdf::TermId other) const;
 
+  // Calls fn(rel, n) once per relation-directory row: terms in local order,
+  // each term's rows in relation order, where n ≥ 1 is the number of facts
+  // of `rel` that the term holds. One linear pass over the directory, no
+  // allocation, no fact read.
+  template <typename Fn>
+  void ForEachRun(Fn&& fn) const {
+    for (size_t t = 0; t < num_terms(); ++t) {
+      const DirEntry* hi = dir_.data() + dir_offsets_[t + 1];
+      for (const DirEntry* row = dir_.data() + dir_offsets_[t]; row != hi;
+           ++row) {
+        fn(row->rel, RunEnd(t, row, hi) - row->begin);
+      }
+    }
+  }
+
   // (first, second) pairs of positive relation `base` in [1, num_relations],
   // sorted by (first, second).
   std::span<const rdf::TermPair> PairsOf(rdf::RelId base) const {
@@ -192,6 +207,15 @@ class ColumnarIndex {
   std::span<const DirEntry> dir() const { return dir_.span(); }
 
  private:
+  // Where the run of directory row `row` ends, relative to the start of
+  // term `local`'s slice: at the next row's begin, or at the end of the
+  // slice for the term's last row (`hi` is one past that row).
+  uint64_t RunEnd(size_t local, const DirEntry* row,
+                  const DirEntry* hi) const {
+    return row + 1 == hi ? offsets_[local + 1] - offsets_[local]
+                         : (row + 1)->begin;
+  }
+
   static bool Validate(std::span<const uint64_t> offsets,
                        std::span<const rdf::Fact> facts,
                        std::span<const uint64_t> pair_offsets,

@@ -48,15 +48,42 @@ class OntologyDeltaTest : public ::testing::Test {
   rdf::TermPool pool_;
   std::unique_ptr<ontology::Ontology> onto_;
 
+  // The base statements every test starts from.
+  static void AddBase(ontology::OntologyBuilder* b) {
+    b->AddSubClassOf("l:Person", "l:Agent");
+    b->AddType("l:a", "l:Person");
+    b->AddLiteralFact("l:a", "l:email", "a@example.org");
+    b->AddFact("l:a", "l:knows", "l:b");
+    b->AddType("l:b", "l:Person");
+  }
+
   void Build() {
     ontology::OntologyBuilder b(&pool_, "left");
-    b.AddType("l:a", "l:Person");
-    b.AddLiteralFact("l:a", "l:email", "a@example.org");
-    b.AddFact("l:a", "l:knows", "l:b");
-    b.AddType("l:b", "l:Person");
+    AddBase(&b);
     auto built = b.Build();
     ASSERT_TRUE(built.ok()) << built.status().ToString();
     onto_ = std::make_unique<ontology::Ontology>(std::move(built).value());
+  }
+
+  rdf::TermId Iri(const std::string& name) const {
+    return *pool_.Find(name, rdf::TermKind::kIri);
+  }
+
+  // Both directions of the type index, as (term, sorted list) rows over
+  // every instance and class.
+  std::vector<std::vector<rdf::TermId>> TypeIndexRows() const {
+    std::vector<std::vector<rdf::TermId>> rows;
+    for (const rdf::TermId i : onto_->instances()) {
+      const auto classes = onto_->ClassesOf(i);
+      rows.push_back({i});
+      rows.back().insert(rows.back().end(), classes.begin(), classes.end());
+    }
+    for (const rdf::TermId c : onto_->classes()) {
+      const auto members = onto_->InstancesOf(c);
+      rows.push_back({c});
+      rows.back().insert(rows.back().end(), members.begin(), members.end());
+    }
+    return rows;
   }
 };
 
@@ -75,13 +102,12 @@ TEST_F(OntologyDeltaTest, MergesFactsAndReportsTouchedState) {
   EXPECT_EQ(summary->num_new_statements, 3u);
   EXPECT_EQ(summary->new_instances.size(), 1u);
   EXPECT_FALSE(summary->touched_terms.empty());
-  EXPECT_FALSE(summary->touched_relations.empty());
   EXPECT_EQ(onto_->num_triples(), base_triples + 3);
   // Touched terms come out sorted (canonical worklist order).
   EXPECT_TRUE(std::is_sorted(summary->touched_terms.begin(),
                              summary->touched_terms.end()));
-  // Only the touched relations' functionalities were recomputed; the table
-  // must equal one built fresh over the merged store.
+  // The table the merge rebuilt must equal one built fresh over the merged
+  // store.
   const ontology::FunctionalityTable fresh(onto_->store());
   for (rdf::RelId base = 1;
        base <= static_cast<rdf::RelId>(onto_->num_relations()); ++base) {
@@ -94,6 +120,80 @@ TEST_F(OntologyDeltaTest, MergesFactsAndReportsTouchedState) {
       EXPECT_EQ(got.sum_inverse_degree, want.sum_inverse_degree) << rel;
       EXPECT_EQ(got.sum_squared_degree, want.sum_squared_degree) << rel;
     }
+  }
+}
+
+// A realign after ApplyDelta starts from the same functionalities as a cold
+// run over base + delta: every statistic the default variant reads is an
+// exact count, so Fun and FunInverse agree bit for bit, relation by
+// relation (matched by name; a new relation is among them).
+TEST_F(OntologyDeltaTest, MergedFunctionalitiesEqualColdBuild) {
+  Build();
+  const std::vector<ParsedTriple> delta = {
+      Fact("l:b", "l:knows", "l:c"),
+      Fact("l:a", "l:knows", "l:c"),
+      Fact("l:a", "l:knows", "l:b"),  // duplicate
+      LiteralFact("l:b", "l:email", "a@example.org"),
+      LiteralFact("l:c", "l:email", "c@example.org"),
+      Fact("l:c", "l:likes", "l:a"),  // new relation
+      Fact("l:c", "l:likes", "l:b"),
+      Fact("l:b", "l:likes", "l:a"),
+  };
+  ASSERT_TRUE(onto_->ApplyDelta(delta).ok());
+
+  rdf::TermPool cold_pool;
+  ontology::OntologyBuilder b(&cold_pool, "left");
+  AddBase(&b);
+  for (const ParsedTriple& t : delta) b.OnTriple(t);
+  auto cold = b.Build();
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+
+  ASSERT_EQ(cold->num_relations(), onto_->num_relations());
+  for (rdf::RelId rel = 1;
+       rel <= static_cast<rdf::RelId>(onto_->num_relations()); ++rel) {
+    const std::string_view name =
+        onto_->pool().lexical(onto_->store().relation_name(rel));
+    const auto name_id = cold_pool.Find(name, rdf::TermKind::kIri);
+    ASSERT_TRUE(name_id.has_value()) << name;
+    const auto cold_rel = cold->store().FindRelation(*name_id);
+    ASSERT_TRUE(cold_rel.has_value()) << name;
+    EXPECT_EQ(onto_->Fun(rel), cold->Fun(*cold_rel)) << name;
+    EXPECT_EQ(onto_->FunInverse(rel), cold->FunInverse(*cold_rel)) << name;
+  }
+}
+
+// ApplyDelta repacks the type index only for a delta with rdf:type
+// statements. A typed delta must reach both directions of the index,
+// closed under the subclass hierarchy; an untyped one leaves it as it was.
+TEST_F(OntologyDeltaTest, TypedDeltaUpdatesTheTypeIndex) {
+  Build();
+  const std::vector<std::vector<rdf::TermId>> before = TypeIndexRows();
+  const std::vector<ParsedTriple> untyped = {
+      Fact("l:b", "l:knows", "l:e"), LiteralFact("l:e", "l:email", "e@x.org")};
+  ASSERT_TRUE(onto_->ApplyDelta(untyped).ok());
+  EXPECT_EQ(TypeIndexRows().size(), before.size() + 1);  // l:e, untyped
+  EXPECT_TRUE(onto_->ClassesOf(Iri("l:e")).empty());
+  std::vector<std::vector<rdf::TermId>> after = TypeIndexRows();
+  after.erase(after.begin() + static_cast<ptrdiff_t>(
+                                  onto_->InstancePosition(Iri("l:e"))));
+  EXPECT_EQ(after, before);
+
+  const std::vector<ParsedTriple> typed = {Fact("l:d", "rdf:type", "l:Person"),
+                                           Fact("l:d", "l:knows", "l:a")};
+  ASSERT_TRUE(onto_->ApplyDelta(typed).ok());
+  const rdf::TermId d = Iri("l:d");
+  std::vector<rdf::TermId> classes = {Iri("l:Person"), Iri("l:Agent")};
+  std::sort(classes.begin(), classes.end());
+  const auto classes_of_d = onto_->ClassesOf(d);
+  EXPECT_EQ(std::vector<rdf::TermId>(classes_of_d.begin(),
+                                     classes_of_d.end()),
+            classes);
+  std::vector<rdf::TermId> members = {Iri("l:a"), Iri("l:b"), d};
+  std::sort(members.begin(), members.end());
+  for (const rdf::TermId cls : classes) {
+    const auto got = onto_->InstancesOf(cls);
+    EXPECT_EQ(std::vector<rdf::TermId>(got.begin(), got.end()), members)
+        << onto_->TermName(cls);
   }
 }
 

@@ -1,8 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <map>
+#include <random>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "paris/ontology/functionality.h"
 #include "paris/ontology/ontology.h"
+#include "paris/ontology/snapshot.h"
+#include "paris/rdf/ntriples.h"
 #include "paris/rdf/term.h"
+#include "paris/storage/snapshot.h"
 
 namespace paris::ontology {
 namespace {
@@ -186,6 +197,158 @@ TEST(FunctionalityVariantsTest, StatsExposed) {
   EXPECT_DOUBLE_EQ(fwd.sum_squared_degree, 4.0);
   const DirectionStats& inv = table.Stats(rdf::Inverse(r));
   EXPECT_EQ(inv.num_distinct_firsts, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Against a brute-force reference
+// ---------------------------------------------------------------------------
+
+// The statistics of `rel`'s direction recounted from its pairs with ordered
+// containers: the degree of each first argument, the set of seconds.
+DirectionStats BruteForceStats(const rdf::TripleStore& store, RelId rel) {
+  const bool inverse = rdf::IsInverse(rel);
+  std::map<TermId, size_t> degree;
+  std::set<TermId> seconds;
+  for (const rdf::TermPair& p : store.PairsOf(rel)) {
+    ++degree[inverse ? p.second : p.first];
+    seconds.insert(inverse ? p.first : p.second);
+  }
+  DirectionStats stats;
+  stats.num_pairs = store.PairsOf(rel).size();
+  stats.num_distinct_firsts = degree.size();
+  stats.num_distinct_seconds = seconds.size();
+  for (const auto& [first, n] : degree) {
+    const double d = static_cast<double>(n);
+    stats.sum_inverse_degree += 1.0 / d;
+    stats.sum_squared_degree += d * d;
+  }
+  return stats;
+}
+
+// Every direction of `onto`'s table against the reference: counts and the
+// squared-degree sum exact, the 1/degree sum (whose summation order
+// differs) within 1e-12 relative, and the variants that read only integer
+// statistics bit-equal.
+void ExpectMatchesBruteForce(const Ontology& onto, const std::string& where) {
+  const rdf::TripleStore& store = onto.store();
+  ASSERT_GT(store.num_relations(), 0u) << where;
+  for (RelId base = 1; base <= static_cast<RelId>(store.num_relations());
+       ++base) {
+    for (const RelId rel : {base, rdf::Inverse(base)}) {
+      const DirectionStats want = BruteForceStats(store, rel);
+      const DirectionStats& got = onto.functionality().Stats(rel);
+      const std::string label = where + ", rel " + std::to_string(rel);
+      EXPECT_EQ(got.num_pairs, want.num_pairs) << label;
+      EXPECT_EQ(got.num_distinct_firsts, want.num_distinct_firsts) << label;
+      EXPECT_EQ(got.num_distinct_seconds, want.num_distinct_seconds) << label;
+      EXPECT_EQ(got.sum_squared_degree, want.sum_squared_degree) << label;
+      EXPECT_NEAR(got.sum_inverse_degree, want.sum_inverse_degree,
+                  1e-12 * want.sum_inverse_degree)
+          << label;
+      for (const auto variant : {FunctionalityVariant::kHarmonicMean,
+                                 FunctionalityVariant::kStatementPairRatio,
+                                 FunctionalityVariant::kArgumentRatio}) {
+        EXPECT_EQ(onto.functionality().Global(rel, variant),
+                  EvaluateFunctionality(want, variant))
+            << label << ", variant " << static_cast<int>(variant);
+      }
+    }
+  }
+}
+
+// `count` random statements: subjects among `num_entities` entities,
+// objects among those and 20 literals, relations among `num_relations`.
+// Each draw is the smaller of two uniform draws, so low ids are hubs and
+// degrees are skewed.
+std::vector<rdf::ParsedTriple> RandomTriples(uint32_t seed, int num_entities,
+                                             int num_relations, int count) {
+  std::mt19937 rng(seed);
+  const auto skewed = [&rng](int n) {
+    std::uniform_int_distribution<int> uniform(0, n - 1);
+    const int a = uniform(rng);
+    return std::min(a, uniform(rng));
+  };
+  std::vector<rdf::ParsedTriple> triples(count);
+  for (rdf::ParsedTriple& t : triples) {
+    t.subject = "e" + std::to_string(skewed(num_entities));
+    t.predicate = "r" + std::to_string(skewed(num_relations));
+    const int object = skewed(num_entities + 20);
+    t.object_is_literal = object < 20;
+    t.object = (t.object_is_literal ? "v" : "e") +
+               std::to_string(t.object_is_literal ? object : object - 20);
+  }
+  return triples;
+}
+
+Ontology BuildRandom(rdf::TermPool* pool, const std::string& name,
+                     uint32_t seed) {
+  OntologyBuilder builder(pool, name);
+  for (const rdf::ParsedTriple& t :
+       RandomTriples(seed, /*num_entities=*/60, /*num_relations=*/5, 400)) {
+    builder.OnTriple(t);
+  }
+  auto built = builder.Build();
+  EXPECT_TRUE(built.ok()) << built.status().ToString();
+  return std::move(built).value();
+}
+
+// The table against the reference in every state an ontology's store can
+// reach: freshly finalized; after a delta merge that adds terms, pairs and
+// a relation; and loaded from a v2 snapshot (directory rebuilt) and a v4
+// one (directory adopted), in stream and mmap modes.
+TEST(FunctionalityReferenceTest, MatchesBruteForceInEveryStoreState) {
+  for (const uint32_t seed : {1u, 2u, 3u, 4u}) {
+    const std::string tag = "seed " + std::to_string(seed);
+    rdf::TermPool pool;
+    Ontology left = BuildRandom(&pool, "left", seed);
+    Ontology right = BuildRandom(&pool, "right", seed + 1000);
+    ExpectMatchesBruteForce(left, tag + ", finalized");
+
+    // New entities e60..e69, new relations r5 and r_new, and statements
+    // the store already holds.
+    std::vector<rdf::ParsedTriple> delta =
+        RandomTriples(seed + 2000, /*num_entities=*/70, /*num_relations=*/6,
+                      120);
+    const auto base = RandomTriples(seed, 60, 5, 400);
+    delta.insert(delta.end(), base.begin(), base.begin() + 40);
+    for (int i = 0; i < 8; ++i) {
+      rdf::ParsedTriple t;
+      t.subject = "e" + std::to_string(60 + i);
+      t.predicate = "r_new";
+      t.object = "e" + std::to_string(i % 3);
+      delta.push_back(t);
+    }
+    const size_t relations_before = left.num_relations();
+    const size_t terms_before = left.store().terms().size();
+    auto summary = left.ApplyDelta(delta);
+    ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+    ASSERT_GT(left.num_relations(), relations_before) << tag;
+    ASSERT_GT(left.store().terms().size(), terms_before) << tag;
+    ASSERT_GT(summary->num_new_statements, 0u) << tag;
+    ExpectMatchesBruteForce(left, tag + ", merged");
+
+    const std::string path = ::testing::TempDir() + "/functionality_ref.snap";
+    for (const uint32_t version :
+         {storage::kMinSnapshotVersion, storage::kSnapshotVersion}) {
+      ASSERT_TRUE(SaveAlignmentSnapshot(path, left, right, version).ok());
+      for (const auto mode :
+           {SnapshotLoadMode::kStream, SnapshotLoadMode::kMmap}) {
+        const std::string where =
+            tag + ", v" + std::to_string(version) +
+            (mode == SnapshotLoadMode::kMmap ? " mmap" : " stream");
+        rdf::TermPool fresh;
+        auto loaded = LoadAlignmentSnapshot(path, &fresh, mode);
+        ASSERT_TRUE(loaded.ok()) << where << ": "
+                                 << loaded.status().ToString();
+        EXPECT_EQ(loaded->left.store().index().zero_copy(),
+                  mode == SnapshotLoadMode::kMmap)
+            << where;
+        ExpectMatchesBruteForce(loaded->left, where + ", left");
+        ExpectMatchesBruteForce(loaded->right, where + ", right");
+      }
+    }
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace
