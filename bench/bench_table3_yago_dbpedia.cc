@@ -27,7 +27,7 @@ void Main() {
   eval::TablePrinter table({"Iter", "Change", "Time", "Prec", "Rec", "F",
                             "Rel y⊆dbp (num@prec)", "Rel dbp⊆y (num@prec)"});
   for (const auto& it : result.iterations) {
-    const auto pr = eval::EvaluateInstanceMap(it.max_left, pair->gold);
+    const auto pr = eval::EvaluateInstances(it.instances, pair->gold);
     const auto rel_lr =
         eval::EvaluateRelations(it.relations, pair->gold, true, 0.3);
     const auto rel_rl =

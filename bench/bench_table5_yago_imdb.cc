@@ -28,7 +28,7 @@ void Main() {
                             "Rel y⊆IMDb (prec/rec)",
                             "Rel IMDb⊆y (prec/rec)"});
   for (const auto& it : result.iterations) {
-    const auto pr = eval::EvaluateInstanceMap(it.max_left, pair->gold);
+    const auto pr = eval::EvaluateInstances(it.instances, pair->gold);
     const auto rel_lr =
         eval::EvaluateRelations(it.relations, pair->gold, true, 0.3);
     const auto rel_rl =

@@ -62,7 +62,7 @@ core::InstanceEquivalences AlignByLabel(const ontology::Ontology& left,
                 [](const core::Candidate& a, const core::Candidate& b) {
                   return a.other < b.other;
                 });
-      result.Set(l, std::move(candidates));
+      result.Set(l, candidates);
     }
   }
   result.Finalize();

@@ -149,7 +149,8 @@ core::InstanceEquivalences AlignBySelfTraining(
 
   core::InstanceEquivalences result;
   for (const auto& [l, r] : matched) {
-    result.Set(l, {core::Candidate{r, 1.0}});
+    const core::Candidate match{r, 1.0};
+    result.Set(l, {&match, 1});
   }
   result.Finalize();
   return result;

@@ -324,6 +324,7 @@ AlignmentResult Aligner::RunInternal(AlignmentResult* checkpoint,
     // the delta's structural cone. The base run converged, so its tables
     // stand in for *both* parities of history: the first iterations' diffs
     // then measure only what the delta actually moved.
+    obs::Span seed_span(obs_.trace, obs_slot, "phase", "realign.seed");
     previous = std::move(seed->instances);
     rel_scores = std::move(seed->relations);
     prev_prev = previous;
@@ -435,6 +436,10 @@ AlignmentResult Aligner::RunInternal(AlignmentResult* checkpoint,
       }
     }
     record.seconds_instances = instance_span.End();
+    // The serial work between the passes: the semi-naive diff, the relation
+    // worklist, the change fraction and the convergence telemetry.
+    obs::Span instance_bookkeeping_span(obs_.trace, obs_slot, "phase",
+                                        "instance.bookkeeping", iteration);
     if (config_.semi_naive) {
       // Diff the same-parity equivalence stores (two-back vs fresh): drives
       // this iteration's relation worklist — whose pass reuses two-back
@@ -467,6 +472,7 @@ AlignmentResult Aligner::RunInternal(AlignmentResult* checkpoint,
       obs_.metrics->MergeCounts(m_score_delta, obs_slot,
                                 record.telemetry.score_delta_counts);
     }
+    instance_bookkeeping_span.End();
 
     // Step 2: relation pass from the fresh equivalences.
     obs::Span relation_span(obs_.trace, obs_slot, "pass", "relation",
@@ -499,6 +505,11 @@ AlignmentResult Aligner::RunInternal(AlignmentResult* checkpoint,
                              iteration);
     relation_pass.Merge(ctx);
     relation_times.merge_seconds += rel_merge_span.End();
+    record.seconds_relations = relation_span.End();
+    // The serial work after the passes: the semi-naive score diff, the next
+    // instance worklist, the history record and the convergence tests.
+    obs::Span relation_bookkeeping_span(obs_.trace, obs_slot, "phase",
+                                        "relation.bookkeeping", iteration);
     if (config_.semi_naive) {
       // Diff same-parity score tables (incomparable while the two-back
       // table is the θ-bootstrap — the next instance pass then stays
@@ -516,46 +527,46 @@ AlignmentResult Aligner::RunInternal(AlignmentResult* checkpoint,
                           tracker.num_changed_relations());
       }
     }
-    record.seconds_relations = relation_span.End();
     resume_partial.reset();  // fully consumed once its iteration completes
 
     if (config_.record_history) {
-      record.max_left = ctx.current.max_left();
-      record.max_right = ctx.current.max_right();
+      record.instances = ctx.current;
       record.relations = rel_scores;
     }
+    // A cold run must complete two iterations before the change fraction
+    // means anything (iteration 1 compares against the empty store); a
+    // seeded re-alignment starts from a converged state, so iteration 1's
+    // fraction is already a real measurement.
+    bool converged = (iteration > 1 || seeded) &&
+                     record.change_fraction < config_.convergence_threshold;
+    // Drain-stop: two *consecutive* states are bit-identical, so every
+    // further iteration reproduces this state byte-for-byte — stopping now
+    // leaves the final tables identical to an exhaustive run at any larger
+    // cap. (A period-2 lock never triggers this; those runs keep iterating
+    // at near-zero marginal cost so the output stays dependent on the cap's
+    // parity, exactly like the exhaustive baseline.)
+    const bool exact_fixpoint =
+        !converged && config_.semi_naive &&
+        tracker.ExactFixpoint(previous, ctx.current, prev_prev_scores,
+                              rel_scores);
+    converged = converged || exact_fixpoint;
+    prev_prev = std::move(previous);
+    previous = std::move(ctx.current);
+    relation_bookkeeping_span.End();
+
     PARIS_LOG(kInfo) << "iteration " << iteration << ": aligned "
                      << record.num_left_aligned << " instances, change "
                      << record.change_fraction << ", "
                      << record.seconds_instances + record.seconds_relations
                      << "s";
+    if (exact_fixpoint) {
+      PARIS_LOG(kInfo) << "iteration " << iteration
+                       << ": exact fixpoint, stopping";
+    }
     result.iterations.push_back(std::move(record));
 
     const bool keep_going =
         !iteration_observer_ || iteration_observer_(result.iterations.back());
-    // A cold run must complete two iterations before the change fraction
-    // means anything (iteration 1 compares against the empty store); a
-    // seeded re-alignment starts from a converged state, so iteration 1's
-    // fraction is already a real measurement.
-    bool converged =
-        (iteration > 1 || seeded) &&
-        result.iterations.back().change_fraction <
-            config_.convergence_threshold;
-    if (!converged && config_.semi_naive &&
-        tracker.ExactFixpoint(previous, ctx.current, prev_prev_scores,
-                              rel_scores)) {
-      // Drain-stop: two *consecutive* states are bit-identical, so every
-      // further iteration reproduces this state byte-for-byte — stopping
-      // now leaves the final tables identical to an exhaustive run at any
-      // larger cap. (A period-2 lock never triggers this; those runs keep
-      // iterating at near-zero marginal cost so the output stays dependent
-      // on the cap's parity, exactly like the exhaustive baseline.)
-      converged = true;
-      PARIS_LOG(kInfo) << "iteration " << iteration
-                       << ": exact fixpoint, stopping";
-    }
-    prev_prev = std::move(previous);
-    previous = std::move(ctx.current);
     if (converged) {
       result.converged_at = iteration;
       break;

@@ -35,9 +35,9 @@ struct IterationRecord {
   // What this iteration changed about the maximal assignment, per entity
   // and per shard (always recorded; not serialized in result snapshots).
   ConvergenceTelemetry telemetry;
-  // Snapshots (populated when config.record_history).
-  std::unordered_map<rdf::TermId, Candidate> max_left;
-  std::unordered_map<rdf::TermId, Candidate> max_right;
+  // Snapshots (populated when config.record_history): the iteration's
+  // finalized store, shared with the run's own copy rather than copied.
+  InstanceEquivalences instances;
   RelationScores relations;
 };
 

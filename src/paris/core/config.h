@@ -101,8 +101,9 @@ struct AlignmentConfig {
   // different shard count only forfeits the checkpoint's cached shards.
   size_t num_shards = 0;
 
-  // Record per-iteration maximal assignments and relation scores in the
-  // result (needed by the per-iteration experiment tables).
+  // Record each iteration's equivalence store and relation scores in the
+  // result (needed by the per-iteration experiment tables). The store is a
+  // shared reference to the iteration's finalized tables, not a copy.
   bool record_history = true;
 
   // Periodic background checkpointing (core/checkpoint.h). When

@@ -1,14 +1,23 @@
 #include "paris/core/equiv.h"
 
 #include <algorithm>
-#include <cassert>
-#include <unordered_set>
+#include <iterator>
+#include <unordered_map>
 
 namespace paris::core {
 
-const InstanceEquivalences::Tables& InstanceEquivalences::tables() const {
+namespace {
+
+// The total order of every row: probability descending, id ascending.
+bool Better(const Candidate& a, const Candidate& b) {
+  return a.prob != b.prob ? a.prob > b.prob : a.other < b.other;
+}
+
+}  // namespace
+
+const InstanceEquivalences::Tables& InstanceEquivalences::EmptyTables() {
   static const Tables kEmpty;
-  return tables_ != nullptr ? *tables_ : kEmpty;
+  return kEmpty;
 }
 
 InstanceEquivalences::Tables& InstanceEquivalences::MutableTables() {
@@ -21,126 +30,148 @@ InstanceEquivalences::Tables& InstanceEquivalences::MutableTables() {
   return *tables_;
 }
 
+void InstanceEquivalences::Rows::Append(rdf::TermId key,
+                                        std::span<const Candidate> candidates) {
+  keys.push_back(key);
+  column.insert(column.end(), candidates.begin(), candidates.end());
+  assert(column.size() <= UINT32_MAX);
+  offsets.push_back(static_cast<uint32_t>(column.size()));
+}
+
+void InstanceEquivalences::Rows::BuildIndex() {
+  rdf::TermId max_key = 0;
+  bool ascending = true;
+  for (size_t row = 0; row < keys.size(); ++row) {
+    max_key = std::max(max_key, keys[row]);
+    if (row > 0 && keys[row] <= keys[row - 1]) ascending = false;
+  }
+  row_of.assign(keys.empty() ? 0 : static_cast<size_t>(max_key) + 1, kNoRow);
+  for (size_t row = 0; row < keys.size(); ++row) {
+    row_of[keys[row]] = static_cast<uint32_t>(row);  // a later Set wins
+  }
+  if (ascending) return;
+  Rows sorted;
+  for (size_t term = 0; term < row_of.size(); ++term) {
+    if (row_of[term] == kNoRow) continue;
+    sorted.Append(static_cast<rdf::TermId>(term), Row(row_of[term]));
+    row_of[term] = static_cast<uint32_t>(sorted.keys.size() - 1);
+  }
+  keys = std::move(sorted.keys);
+  offsets = std::move(sorted.offsets);
+  column = std::move(sorted.column);
+}
+
 void InstanceEquivalences::Set(rdf::TermId left,
-                               std::vector<Candidate> candidates) {
+                               std::span<const Candidate> candidates) {
   assert(!finalized_);
   if (candidates.empty()) return;
-  MutableTables().left_to_right[left] = std::move(candidates);
+  MutableTables().left.Append(left, candidates);
 }
 
 void InstanceEquivalences::Finalize() {
   assert(!finalized_);
   Tables& t = MutableTables();
-  // Transpose.
-  t.right_to_left.reserve(t.left_to_right.size());
-  for (const auto& [left, candidates] : t.left_to_right) {
-    for (const Candidate& c : candidates) {
-      t.right_to_left[c.other].push_back(Candidate{left, c.prob});
+  Rows& left = t.left;
+  left.BuildIndex();
+
+  // Transpose by a counting sort over right ids: `cursor[z]` starts at the
+  // first slot of z's row. Left rows are visited in ascending key order,
+  // and each right row is then sorted by the total order, so the transpose
+  // does not depend on the order of the Set calls.
+  Rows& right = t.right;
+  rdf::TermId max_right = 0;
+  for (const Candidate& c : left.column) {
+    max_right = std::max(max_right, c.other);
+  }
+  std::vector<uint32_t> cursor(
+      left.column.empty() ? 0 : static_cast<size_t>(max_right) + 2, 0);
+  for (const Candidate& c : left.column) ++cursor[c.other + 1];
+  for (size_t z = 1; z < cursor.size(); ++z) cursor[z] += cursor[z - 1];
+  right.row_of.assign(cursor.empty() ? 0 : cursor.size() - 1, Rows::kNoRow);
+  for (size_t z = 0; z + 1 < cursor.size(); ++z) {
+    if (cursor[z + 1] == cursor[z]) continue;
+    right.row_of[z] = static_cast<uint32_t>(right.keys.size());
+    right.keys.push_back(static_cast<rdf::TermId>(z));
+    right.offsets.push_back(cursor[z + 1]);
+  }
+  right.column.resize(left.column.size());
+  for (size_t row = 0; row < left.keys.size(); ++row) {
+    for (const Candidate& c : left.Row(row)) {
+      right.column[cursor[c.other]++] = Candidate{left.keys[row], c.prob};
     }
   }
-  auto better = [](const Candidate& a, const Candidate& b) {
-    return a.prob != b.prob ? a.prob > b.prob : a.other < b.other;
-  };
-  for (auto& [right, candidates] : t.right_to_left) {
-    std::sort(candidates.begin(), candidates.end(), better);
-  }
-  // Maximal assignments (first element after sorting = deterministic
-  // arbitrary tie-break, §4.2).
-  t.max_left.reserve(t.left_to_right.size());
-  t.max_right.reserve(t.right_to_left.size());
-  for (const auto& [left, candidates] : t.left_to_right) {
-    t.max_left.emplace(left, candidates.front());
-  }
-  for (const auto& [right, candidates] : t.right_to_left) {
-    t.max_right.emplace(right, candidates.front());
+  for (size_t row = 0; row < right.keys.size(); ++row) {
+    std::sort(right.column.begin() + right.offsets[row],
+              right.column.begin() + right.offsets[row + 1], Better);
   }
   finalized_ = true;
 }
 
-std::span<const Candidate> InstanceEquivalences::LeftToRight(
-    rdf::TermId left) const {
-  const auto& map = tables().left_to_right;
-  auto it = map.find(left);
-  if (it == map.end()) return {};
-  return {it->second.data(), it->second.size()};
+namespace {
+
+// Merge-joins the ascending keys of two CSR sides: calls `only(key)` for a
+// key present on one side and `both(key, row_a, row_b)` for a shared one.
+template <typename Rows, typename OnlyFn, typename BothFn>
+void JoinRows(const Rows& a, const Rows& b, OnlyFn&& only, BothFn&& both) {
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.keys.size() || j < b.keys.size()) {
+    if (j == b.keys.size() || (i < a.keys.size() && a.keys[i] < b.keys[j])) {
+      only(a.keys[i++]);
+    } else if (i == a.keys.size() || b.keys[j] < a.keys[i]) {
+      only(b.keys[j++]);
+    } else {
+      both(a.keys[i], a.Row(i), b.Row(j));
+      ++i;
+      ++j;
+    }
+  }
 }
 
-std::span<const Candidate> InstanceEquivalences::RightToLeft(
-    rdf::TermId right) const {
-  assert(finalized_);
-  const auto& map = tables().right_to_left;
-  auto it = map.find(right);
-  if (it == map.end()) return {};
-  return {it->second.data(), it->second.size()};
+// Appends every key whose row differs between `a` and `b`, ascending.
+template <typename Rows>
+void DiffRows(const Rows& a, const Rows& b, std::vector<rdf::TermId>* out) {
+  const auto only = [out](rdf::TermId key) { out->push_back(key); };
+  const auto both = [out](rdf::TermId key, std::span<const Candidate> row_a,
+                          std::span<const Candidate> row_b) {
+    if (!std::ranges::equal(row_a, row_b)) out->push_back(key);
+  };
+  JoinRows(a, b, only, both);
 }
 
-const Candidate* InstanceEquivalences::MaxOfLeft(rdf::TermId left) const {
-  assert(finalized_);
-  const auto& map = tables().max_left;
-  auto it = map.find(left);
-  return it == map.end() ? nullptr : &it->second;
-}
-
-const Candidate* InstanceEquivalences::MaxOfRight(rdf::TermId right) const {
-  assert(finalized_);
-  const auto& map = tables().max_right;
-  auto it = map.find(right);
-  return it == map.end() ? nullptr : &it->second;
-}
+}  // namespace
 
 double InstanceEquivalences::MaxAssignmentChangeFraction(
     const InstanceEquivalences& previous) const {
   assert(finalized_ && previous.finalized_);
   size_t universe = 0;
   size_t changed = 0;
-  for (const auto& [left, candidate] : tables().max_left) {
+  const auto only = [&](rdf::TermId) {
     ++universe;
-    auto it = previous.tables().max_left.find(left);
-    if (it == previous.tables().max_left.end() ||
-        it->second.other != candidate.other) {
-      ++changed;
-    }
-  }
-  for (const auto& [left, candidate] : previous.tables().max_left) {
-    if (!tables().max_left.contains(left)) {
-      ++universe;
-      ++changed;
-    }
-  }
+    ++changed;
+  };
+  const auto both = [&](rdf::TermId, std::span<const Candidate> row,
+                        std::span<const Candidate> previous_row) {
+    ++universe;
+    if (row.front().other != previous_row.front().other) ++changed;
+  };
+  JoinRows(tables().left, previous.tables().left, only, both);
   if (universe == 0) return 0.0;
   return static_cast<double>(changed) / static_cast<double>(universe);
 }
 
-namespace {
-
-// Keys present in exactly one map, or present in both with different
-// candidate vectors (exact element comparison).
-void DiffListMaps(
-    const std::unordered_map<rdf::TermId, std::vector<Candidate>>& a,
-    const std::unordered_map<rdf::TermId, std::vector<Candidate>>& b,
-    std::vector<rdf::TermId>* out) {
-  for (const auto& [term, candidates] : a) {
-    auto it = b.find(term);
-    if (it == b.end() || it->second != candidates) out->push_back(term);
-  }
-  for (const auto& [term, candidates] : b) {
-    if (!a.contains(term)) out->push_back(term);
-  }
-  std::sort(out->begin(), out->end());
-  out->erase(std::unique(out->begin(), out->end()), out->end());
-}
-
-}  // namespace
-
 void InstanceEquivalences::DiffLeftTerms(const InstanceEquivalences& other,
                                          std::vector<rdf::TermId>* out) const {
-  DiffListMaps(tables().left_to_right, other.tables().left_to_right, out);
+  assert(finalized_ && other.finalized_);
+  if (tables_ == other.tables_) return;  // one shared store
+  DiffRows(tables().left, other.tables().left, out);
 }
 
 void InstanceEquivalences::DiffRightTerms(const InstanceEquivalences& other,
                                           std::vector<rdf::TermId>* out) const {
   assert(finalized_ && other.finalized_);
-  DiffListMaps(tables().right_to_left, other.tables().right_to_left, out);
+  if (tables_ == other.tables_) return;
+  DiffRows(tables().right, other.tables().right, out);
 }
 
 InstanceEquivalences BlendEquivalences(const InstanceEquivalences& previous,
@@ -149,14 +180,10 @@ InstanceEquivalences BlendEquivalences(const InstanceEquivalences& previous,
                                        size_t max_candidates) {
   assert(previous.finalized_ && fresh.finalized_);
   InstanceEquivalences out;
-  // Union of left keys.
-  std::unordered_set<rdf::TermId> lefts;
-  for (const auto& [l, cs] : previous.tables().left_to_right) lefts.insert(l);
-  for (const auto& [l, cs] : fresh.tables().left_to_right) lefts.insert(l);
-
-  auto better = [](const Candidate& a, const Candidate& b) {
-    return a.prob != b.prob ? a.prob > b.prob : a.other < b.other;
-  };
+  std::vector<rdf::TermId> lefts;
+  std::ranges::set_union(previous.tables().left.keys,
+                         fresh.tables().left.keys, std::back_inserter(lefts));
+  std::vector<Candidate> candidates;
   for (rdf::TermId left : lefts) {
     std::unordered_map<rdf::TermId, double> blended;
     for (const Candidate& c : previous.LeftToRight(left)) {
@@ -165,14 +192,13 @@ InstanceEquivalences BlendEquivalences(const InstanceEquivalences& previous,
     for (const Candidate& c : fresh.LeftToRight(left)) {
       blended[c.other] += (1.0 - lambda) * c.prob;
     }
-    std::vector<Candidate> candidates;
+    candidates.clear();
     for (const auto& [other, prob] : blended) {
       if (prob >= threshold) candidates.push_back(Candidate{other, prob});
     }
-    if (candidates.empty()) continue;
-    std::sort(candidates.begin(), candidates.end(), better);
+    std::sort(candidates.begin(), candidates.end(), Better);
     if (candidates.size() > max_candidates) candidates.resize(max_candidates);
-    out.Set(left, std::move(candidates));
+    out.Set(left, candidates);
   }
   out.Finalize();
   return out;

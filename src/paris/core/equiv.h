@@ -1,10 +1,11 @@
 #ifndef PARIS_CORE_EQUIV_H_
 #define PARIS_CORE_EQUIV_H_
 
+#include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "paris/rdf/term.h"
@@ -41,57 +42,85 @@ struct Candidate {
 // probabilities are stored (§5.2: unknown and zero coincide in the
 // positive-evidence equations).
 //
+// Layout (core/README.md, "Equivalence store"): each side is a CSR — one
+// flat candidate column, u32 row offsets and the row keys in ascending
+// order — found through a dense `TermId → row` index. The left rows are
+// what `Set` wrote; the right rows are their transpose. A row is sorted
+// best first, so a term's maximal assignment is the front of its row.
+//
 // Build protocol: `Set()` candidate lists (computed left→right), then
-// `Finalize()` once to derive the transpose and both maximal assignments.
-// Reads are valid (and thread-safe) only after finalization.
+// `Finalize()` once to index both sides and build the transpose. Reads are
+// valid (and thread-safe) only after finalization.
 class InstanceEquivalences {
  public:
   InstanceEquivalences() = default;
 
   // Sets the candidates of `left`; `candidates` must be sorted by
-  // descending probability (ties broken by ascending id). Empty lists are
+  // descending probability (ties broken by ascending id). Appends a row; a
+  // later Set of the same term replaces the earlier list. Empty lists are
   // allowed and equivalent to not calling Set.
-  void Set(rdf::TermId left, std::vector<Candidate> candidates);
+  void Set(rdf::TermId left, std::span<const Candidate> candidates);
 
-  // Builds the transpose and the two maximal assignments.
+  // Indexes both sides and builds the transpose.
   void Finalize();
   bool finalized() const { return finalized_; }
 
   // All equivalents with positive probability, best first.
-  std::span<const Candidate> LeftToRight(rdf::TermId left) const;
-  std::span<const Candidate> RightToLeft(rdf::TermId right) const;
+  std::span<const Candidate> LeftToRight(rdf::TermId left) const {
+    assert(finalized_);
+    return tables().left.Find(left);
+  }
+  std::span<const Candidate> RightToLeft(rdf::TermId right) const {
+    assert(finalized_);
+    return tables().right.Find(right);
+  }
 
   // The maximal assignment (§4.2): the single best counterpart, ties broken
   // deterministically by smallest term id. Null if none.
-  const Candidate* MaxOfLeft(rdf::TermId left) const;
-  const Candidate* MaxOfRight(rdf::TermId right) const;
-
-  const std::unordered_map<rdf::TermId, Candidate>& max_left() const {
-    return tables().max_left;
+  const Candidate* MaxOfLeft(rdf::TermId left) const {
+    const auto row = LeftToRight(left);
+    return row.empty() ? nullptr : row.data();
   }
-  const std::unordered_map<rdf::TermId, Candidate>& max_right() const {
-    return tables().max_right;
+  const Candidate* MaxOfRight(rdf::TermId right) const {
+    const auto row = RightToLeft(right);
+    return row.empty() ? nullptr : row.data();
+  }
+
+  // Calls `fn(term, best)` for every term of one side with a candidate, in
+  // ascending term order: the maximal assignment as one ordered walk.
+  template <typename Fn>
+  void ForEachMaxOfLeft(Fn&& fn) const {
+    assert(finalized_);
+    tables().left.ForEachFront(fn);
+  }
+  template <typename Fn>
+  void ForEachMaxOfRight(Fn&& fn) const {
+    assert(finalized_);
+    tables().right.ForEachFront(fn);
   }
 
   // Number of left instances with at least one candidate.
-  size_t num_left_aligned() const { return tables().left_to_right.size(); }
+  size_t num_left_aligned() const {
+    assert(finalized_);
+    return tables().left.keys.size();
+  }
 
   // Fraction of left entities whose maximal assignment differs from
   // `previous` (the convergence criterion of §5.1/§6.1). The denominator is
   // the number of entities assigned in either store (≥ 1).
-  double MaxAssignmentChangeFraction(const InstanceEquivalences& previous) const;
+  double MaxAssignmentChangeFraction(
+      const InstanceEquivalences& previous) const;
 
-  // Appends to `out` every left term whose full candidate list differs
-  // between `*this` and `other`: gained a list, lost it, or any candidate's
-  // probability moved (exact double comparison — the semi-naive fixpoint
-  // reuses a slot only when its inputs are bit-identical). Full-list
-  // equality implies maximal-assignment equality, so one diff is sound for
-  // both the maximal-only and full-equalities evidence modes. `out` is
-  // sorted ascending and deduplicated on return.
+  // Appends to `out`, in ascending order, every left term whose full
+  // candidate list differs between `*this` and `other`: gained a list, lost
+  // it, or any candidate's probability moved (exact double comparison — the
+  // semi-naive fixpoint reuses a slot only when its inputs are
+  // bit-identical). Full-list equality implies maximal-assignment equality,
+  // so one diff is sound for both the maximal-only and full-equalities
+  // evidence modes. Both stores must be finalized.
   void DiffLeftTerms(const InstanceEquivalences& other,
                      std::vector<rdf::TermId>* out) const;
-  // Same over right terms (the transposed lists); both stores must be
-  // finalized.
+  // Same over right terms (the transposed lists).
   void DiffRightTerms(const InstanceEquivalences& other,
                       std::vector<rdf::TermId>* out) const;
 
@@ -104,16 +133,52 @@ class InstanceEquivalences {
   friend util::StatusOr<InstanceEquivalences> LoadInstanceEquivalences(
       storage::SnapshotReader& reader, size_t pool_size);
 
+  // One side in CSR form: row r holds column[offsets[r], offsets[r + 1])
+  // for term keys[r].
+  struct Rows {
+    static constexpr uint32_t kNoRow = UINT32_MAX;
+
+    // Ascending once finalized.
+    std::vector<rdf::TermId> keys;
+    // keys.size() + 1 entries.
+    std::vector<uint32_t> offsets{0};
+    std::vector<Candidate> column;
+    // Dense TermId → row up to the largest key, kNoRow elsewhere; built by
+    // Finalize.
+    std::vector<uint32_t> row_of;
+
+    std::span<const Candidate> Row(size_t row) const {
+      return {column.data() + offsets[row], offsets[row + 1] - offsets[row]};
+    }
+    std::span<const Candidate> Find(rdf::TermId term) const {
+      const uint32_t row =
+          static_cast<size_t>(term) < row_of.size() ? row_of[term] : kNoRow;
+      return row == kNoRow ? std::span<const Candidate>() : Row(row);
+    }
+    void Append(rdf::TermId key, std::span<const Candidate> candidates);
+    template <typename Fn>
+    void ForEachFront(Fn&& fn) const {
+      for (size_t row = 0; row < keys.size(); ++row) {
+        fn(keys[row], column[offsets[row]]);
+      }
+    }
+    // Builds `row_of`. Rows that were not set in strictly ascending key
+    // order, or a key set twice, are first rewritten in ascending order,
+    // keeping each key's last row.
+    void BuildIndex();
+  };
+
   struct Tables {
-    std::unordered_map<rdf::TermId, std::vector<Candidate>> left_to_right;
-    std::unordered_map<rdf::TermId, std::vector<Candidate>> right_to_left;
-    std::unordered_map<rdf::TermId, Candidate> max_left;
-    std::unordered_map<rdf::TermId, Candidate> max_right;
+    Rows left;
+    Rows right;
   };
 
   // The tables, empty when `tables_` is null (a default-constructed or
   // moved-from store).
-  const Tables& tables() const;
+  const Tables& tables() const {
+    return tables_ != nullptr ? *tables_ : EmptyTables();
+  }
+  static const Tables& EmptyTables();
   // The tables for Set/Finalize to write, first cloned if another store
   // shares them.
   Tables& MutableTables();
@@ -121,7 +186,8 @@ class InstanceEquivalences {
   bool finalized_ = false;
   // Shared between copies. A finalized store is immutable, so copying one
   // costs a reference count, not a deep copy: the semi-naive fixpoint
-  // hands the same store around every iteration once it has converged.
+  // hands the same store around every iteration once it has converged, and
+  // each IterationRecord keeps its iteration's store this way.
   std::shared_ptr<Tables> tables_;
 };
 

@@ -383,18 +383,13 @@ void InstancePass::Merge(IterationContext& ctx) {
     return;
   }
   const std::vector<rdf::TermId>& instances = ctx.left->instances();
-  // Under semi_naive the slots are copied, not drained: the next iteration
-  // reuses them for instances its worklist marks clean.
+  // The slots stay in place: under semi_naive the next iteration reuses
+  // them for instances its worklist marks clean.
   const bool keep = ctx.config->semi_naive;
-  std::vector<std::vector<Candidate>>& results = results_[gen_];
+  const std::vector<std::vector<Candidate>>& results = results_[gen_];
   InstanceEquivalences equiv;
   for (size_t i = 0; i < layout_.total; ++i) {
-    if (results[i].empty()) continue;
-    if (keep) {
-      equiv.Set(instances[i], results[i]);
-    } else {
-      equiv.Set(instances[i], std::move(results[i]));
-    }
+    equiv.Set(instances[i], results[i]);
   }
   equiv.Finalize();
   ctx.current = std::move(equiv);

@@ -74,9 +74,9 @@ class FactorCoefficientTable {
 // equivalence store — and `ctx.rel_scores` — Pr(r ⊆ r'), the θ-bootstrap
 // table in the first iteration. Shards partition the left instance list;
 // every shard writes only its instances' candidate slots, so the pass
-// parallelizes without locks. Merge assembles the slots in instance order
-// into `ctx.current` and finalizes it (transpose + maximal assignments),
-// reproducing the exact store a serial whole-ontology sweep would build.
+// parallelizes without locks. Merge appends the slots in instance order
+// to `ctx.current` and finalizes it (index + transpose), reproducing the
+// exact store a serial whole-ontology sweep would build.
 //
 // This pass dominates wall time at YAGO scale, which is why cancellation
 // is polled between its shards: SaveShard/LoadShard persist one shard's
@@ -85,12 +85,13 @@ class InstancePass final : public Pass {
  public:
   const char* name() const override { return "instance"; }
 
-  // Semi-naive reuse (core/worklist.h): when `ctx.config->semi_naive` is
-  // set, Merge *copies* the candidate slots into `ctx.current` instead of
-  // draining them, and a later Prepare — if `ctx.worklist` has an active
-  // instance set — puts the pass in reuse mode: RunShard skips clean
-  // instances, whose retained slots still hold exactly what this iteration
-  // would recompute (the worklist's dirty criterion covers every input).
+  // Semi-naive reuse (core/worklist.h): Merge copies the candidate slots
+  // into `ctx.current` and leaves them in place. When
+  // `ctx.config->semi_naive` is set, a later Prepare — if `ctx.worklist`
+  // has an active instance set — puts the pass in reuse mode: RunShard
+  // skips clean instances, whose retained slots still hold exactly what
+  // this iteration would recompute (the worklist's dirty criterion covers
+  // every input).
   // Slots are retained in TWO generations, alternating per iteration, and
   // an iteration reuses the slots of the previous *same-parity* iteration
   // (two back) — matching the worklist, whose diffs compare same-parity
@@ -132,7 +133,7 @@ class InstancePass final : public Pass {
   BestCounterparts best_;
   FactorCoefficientTable coefficients_;
   // Candidate lists, one slot per left instance, filled by RunShard (or
-  // LoadShard) and drained (or, under semi_naive, copied) by Merge. Two
+  // LoadShard) and copied by Merge. Two
   // generations, alternating per iteration: `results_[gen_]` is the active
   // one, the other holds the previous same-parity iteration's output for
   // reuse. The vectors keep their capacity across iterations.

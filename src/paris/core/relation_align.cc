@@ -1,6 +1,7 @@
 #include "paris/core/relation_align.h"
 
-#include <unordered_map>
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "paris/core/worklist.h"
@@ -8,18 +9,25 @@
 namespace paris::core {
 
 // Per-worker scratch for ScoreOneRelation, owned by the IterationContext so
-// container capacity survives across relations, shards, and iterations. The
-// reused maps' bucket layouts depend on history, but nothing below leaks
-// map iteration order into the stored scores: every emitted entry is keyed
-// by (sub, super), and `numerator` order only permutes entries within one
-// relation's list, whose table insertion order no consumer observes
-// (RelationScores::Entries() reports canonical order since PR 3).
+// capacity survives across relations, shards, and iterations. Nothing here
+// hashes:
+//  * `numerator` holds Σ (1 − product) per target relation r′ in first-touch
+//    order, found through `numerator_slot`, a dense array over the target's
+//    signed relations (r′ at r′ + n, 0 = untouched; cleared after each
+//    relation). Each r′ still adds its terms in pair order, so its sum is
+//    bit-identical to a map's; only the order in which one relation's
+//    scores are emitted follows first touch, and no consumer observes it
+//    (RelationScores::Entries() reports canonical order).
+//  * y′ → Pr(y ≡ y′) is a scan of `y_eq` that keeps the last match, as a
+//    map assignment over `y_eq` did.
+//  * `pair_products` is the few r′ that link one pair, with the product of
+//    their factors in fact order.
 struct RelationShardScratch {
-  std::unordered_map<rdf::RelId, double> numerator;
+  std::vector<std::pair<rdf::RelId, double>> numerator;
+  std::vector<uint32_t> numerator_slot;
   std::vector<Candidate> x_eq;
   std::vector<Candidate> y_eq;
-  std::unordered_map<rdf::TermId, double> y_eq_probs;
-  std::unordered_map<rdf::RelId, double> pair_products;
+  std::vector<std::pair<rdf::RelId, double>> pair_products;
 };
 
 namespace {
@@ -42,15 +50,18 @@ void ScoreOneRelation(rdf::RelId rel, const DirectionalContext& ctx,
                       const StoreFn& store_score) {
   const ontology::Ontology& source = *ctx.source;
   const ontology::Ontology& target = *ctx.target;
+  const rdf::RelId num_target =
+      static_cast<rdf::RelId>(target.num_relations());
 
   double denominator = 0.0;
-  std::unordered_map<rdf::RelId, double>& numerator = scratch.numerator;
+  auto& numerator = scratch.numerator;
+  std::vector<uint32_t>& numerator_slot = scratch.numerator_slot;
   std::vector<Candidate>& x_eq = scratch.x_eq;
   std::vector<Candidate>& y_eq = scratch.y_eq;
-  std::unordered_map<rdf::TermId, double>& y_eq_probs = scratch.y_eq_probs;
-  std::unordered_map<rdf::RelId, double>& pair_products =
-      scratch.pair_products;
+  auto& pair_products = scratch.pair_products;
   numerator.clear();
+  const size_t num_slots = 2 * static_cast<size_t>(num_target) + 1;
+  if (numerator_slot.size() < num_slots) numerator_slot.resize(num_slots, 0);
 
   source.store().ForEachPair(
       rel, config.relation_pair_sample, [&](rdf::TermId x, rdf::TermId y) {
@@ -73,23 +84,36 @@ void ScoreOneRelation(rdf::RelId rel, const DirectionalContext& ctx,
 
         // Numerator terms (Eq. 10), one per target relation r' that links
         // some x' ≈ x to some y' ≈ y.
-        y_eq_probs.clear();
-        for (const Candidate& cy : y_eq) y_eq_probs[cy.other] = cy.prob;
         pair_products.clear();
         for (const Candidate& cx : x_eq) {
           for (const rdf::Fact& f : target.FactsAbout(cx.other)) {
             // f = (r', y') encodes the statement r'(x', y').
-            auto it = y_eq_probs.find(f.other);
-            if (it == y_eq_probs.end()) continue;
-            auto [pit, inserted] = pair_products.emplace(f.rel, 1.0);
-            pit->second *= (1.0 - cx.prob * it->second);
+            const auto cy = std::find_if(
+                y_eq.rbegin(), y_eq.rend(),
+                [&f](const Candidate& c) { return c.other == f.other; });
+            if (cy == y_eq.rend()) continue;
+            auto product = std::find_if(
+                pair_products.begin(), pair_products.end(),
+                [&f](const auto& p) { return p.first == f.rel; });
+            if (product == pair_products.end()) {
+              product = pair_products.insert(product, {f.rel, 1.0});
+            }
+            product->second *= (1.0 - cx.prob * cy->prob);
           }
         }
         for (const auto& [r_prime, product] : pair_products) {
-          numerator[r_prime] += 1.0 - product;
+          uint32_t& slot = numerator_slot[r_prime + num_target];
+          if (slot == 0) {
+            numerator.emplace_back(r_prime, 0.0);
+            slot = static_cast<uint32_t>(numerator.size());
+          }
+          numerator[slot - 1].second += 1.0 - product;
         }
       });
 
+  for (const auto& [r_prime, num] : numerator) {
+    numerator_slot[r_prime + num_target] = 0;
+  }
   if (denominator <= 0.0) return;
   for (const auto& [r_prime, num] : numerator) {
     const double score = num / denominator;

@@ -7,6 +7,7 @@
 #include <map>
 #include <ostream>
 #include <sstream>
+#include <unordered_set>
 #include <vector>
 
 #include "paris/util/fs.h"
@@ -14,17 +15,26 @@
 
 namespace paris::core {
 
+namespace {
+
+// The maximal assignment keyed by left IRI: the deterministic output order.
+std::map<std::string, const Candidate*> SortedMaxOfLeft(
+    const InstanceEquivalences& equiv, const ontology::Ontology& left) {
+  std::map<std::string, const Candidate*> sorted;
+  equiv.ForEachMaxOfLeft([&](rdf::TermId l, const Candidate& best) {
+    sorted.emplace(left.TermName(l), &best);
+  });
+  return sorted;
+}
+
+}  // namespace
+
 void WriteInstanceAlignment(const InstanceEquivalences& equiv,
                             const ontology::Ontology& left,
                             const ontology::Ontology& right,
                             std::ostream& out) {
   out << "# paris instance alignment: left\tright\tprobability\n";
-  // Deterministic output order: sort by left IRI.
-  std::map<std::string, const Candidate*> sorted;
-  for (const auto& [l, candidate] : equiv.max_left()) {
-    sorted.emplace(left.TermName(l), &candidate);
-  }
-  for (const auto& [name, candidate] : sorted) {
+  for (const auto& [name, candidate] : SortedMaxOfLeft(equiv, left)) {
     out << name << "\t" << right.TermName(candidate->other) << "\t"
         << candidate->prob << "\n";
   }
@@ -137,11 +147,7 @@ void WriteOaeiAlignment(const InstanceEquivalences& equiv,
          ">\n"
       << "<Alignment>\n"
       << "  <xml>yes</xml>\n  <level>0</level>\n  <type>11</type>\n";
-  std::map<std::string, const Candidate*> sorted;
-  for (const auto& [l, candidate] : equiv.max_left()) {
-    sorted.emplace(left.TermName(l), &candidate);
-  }
-  for (const auto& [name, candidate] : sorted) {
+  for (const auto& [name, candidate] : SortedMaxOfLeft(equiv, left)) {
     out << "  <map><Cell>\n"
         << "    <entity1 rdf:resource=\"" << XmlEscape(name) << "\"/>\n"
         << "    <entity2 rdf:resource=\""
@@ -157,6 +163,7 @@ void WriteOaeiAlignment(const InstanceEquivalences& equiv,
 util::StatusOr<InstanceEquivalences> ReadInstanceAlignment(
     std::istream& in, const rdf::TermPool& pool) {
   InstanceEquivalences equiv;
+  std::unordered_set<rdf::TermId> seen;
   std::string line;
   size_t line_number = 0;
   while (std::getline(in, line)) {
@@ -174,14 +181,22 @@ util::StatusOr<InstanceEquivalences> ReadInstanceAlignment(
       return util::NotFoundError("line " + std::to_string(line_number) +
                                  ": unknown IRI");
     }
+    // The whole field must parse, to a probability the store may hold:
+    // 0 < p ≤ 1, which also rejects NaN.
     char* end = nullptr;
     const std::string prob_str(fields[2]);
     const double prob = std::strtod(prob_str.c_str(), &end);
-    if (end == prob_str.c_str() || prob < 0.0 || prob > 1.0) {
+    if (prob_str.empty() || end != prob_str.c_str() + prob_str.size() ||
+        !(prob > 0.0 && prob <= 1.0)) {
       return util::InvalidArgumentError(
           "line " + std::to_string(line_number) + ": bad probability");
     }
-    equiv.Set(*left, {Candidate{*right, prob}});
+    if (!seen.insert(*left).second) {
+      return util::InvalidArgumentError(
+          "line " + std::to_string(line_number) + ": repeated left IRI");
+    }
+    const Candidate candidate{*right, prob};
+    equiv.Set(*left, {&candidate, 1});
   }
   equiv.Finalize();
   return equiv;

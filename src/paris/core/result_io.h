@@ -46,7 +46,9 @@ util::Status WriteAlignmentFiles(const AlignmentResult& result,
                                  const std::string& prefix);
 
 // Reads an instance alignment back (IRIs resolved through `pool`;
-// unknown IRIs are reported as an error). The returned store is finalized.
+// unknown IRIs are reported as an error). A probability must parse as a
+// whole field and lie in (0, 1], and each left IRI may appear once;
+// anything else is InvalidArgument. The returned store is finalized.
 util::StatusOr<InstanceEquivalences> ReadInstanceAlignment(
     std::istream& in, const rdf::TermPool& pool);
 

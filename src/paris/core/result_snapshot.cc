@@ -59,28 +59,23 @@ uint64_t OntologyPairFingerprint(const ontology::Ontology& left,
 
 // CSR over sorted left keys: keys, offsets, then the candidate (other, prob)
 // pair split into two parallel columns so no struct padding reaches the file.
+// The store keeps its left rows in this layout, so this writes its columns
+// in order.
 void SaveInstanceEquivalences(const InstanceEquivalences& equiv,
                               storage::SnapshotWriter& writer) {
-  std::vector<rdf::TermId> keys;
-  keys.reserve(equiv.tables().left_to_right.size());
-  for (const auto& [left, candidates] : equiv.tables().left_to_right) {
-    keys.push_back(left);
-  }
-  std::sort(keys.begin(), keys.end());
-
-  std::vector<uint64_t> offsets;
-  offsets.reserve(keys.size() + 1);
-  offsets.push_back(0);
+  assert(equiv.finalized());
+  const auto& rows = equiv.tables().left;
+  const std::vector<uint64_t> offsets(rows.offsets.begin(),
+                                      rows.offsets.end());
   std::vector<rdf::TermId> others;
   std::vector<double> probs;
-  for (rdf::TermId key : keys) {
-    for (const Candidate& c : equiv.tables().left_to_right.at(key)) {
-      others.push_back(c.other);
-      probs.push_back(c.prob);
-    }
-    offsets.push_back(others.size());
+  others.reserve(rows.column.size());
+  probs.reserve(rows.column.size());
+  for (const Candidate& c : rows.column) {
+    others.push_back(c.other);
+    probs.push_back(c.prob);
   }
-  writer.WritePodVector(keys);
+  writer.WritePodVector(rows.keys);
   writer.WritePodVector(offsets);
   writer.WritePodVector(others);
   writer.WritePodVector(probs);
@@ -102,10 +97,15 @@ util::StatusOr<InstanceEquivalences> LoadInstanceEquivalences(
         "corrupt instance-equivalence section");
   };
   if (offsets.size() != keys.size() + 1 || offsets.front() != 0 ||
-      offsets.back() != others.size() || others.size() != probs.size()) {
+      offsets.back() != others.size() || others.size() != probs.size() ||
+      others.size() > UINT32_MAX) {
     return invalid();
   }
   InstanceEquivalences out;
+  auto& rows = out.MutableTables().left;
+  rows.keys.reserve(keys.size());
+  rows.offsets.reserve(keys.size() + 1);
+  rows.column.reserve(others.size());
   for (size_t i = 0; i < keys.size(); ++i) {
     if (i > 0 && keys[i] <= keys[i - 1]) return invalid();
     if (static_cast<size_t>(keys[i]) >= pool_size) return invalid();
@@ -114,8 +114,6 @@ util::StatusOr<InstanceEquivalences> LoadInstanceEquivalences(
     // Strictly increasing (stored lists are never empty) and in bounds —
     // the endpoint checks above do not rule out a corrupt middle offset.
     if (end <= begin || end > others.size()) return invalid();
-    std::vector<Candidate> candidates;
-    candidates.reserve(end - begin);
     for (uint64_t j = begin; j < end; ++j) {
       if (static_cast<size_t>(others[j]) >= pool_size) return invalid();
       if (!(probs[j] > 0.0) || probs[j] > 1.0) return invalid();
@@ -125,9 +123,10 @@ util::StatusOr<InstanceEquivalences> LoadInstanceEquivalences(
                           others[j - 1] < others[j]))) {
         return invalid();
       }
-      candidates.push_back(Candidate{others[j], probs[j]});
+      rows.column.push_back(Candidate{others[j], probs[j]});
     }
-    out.Set(keys[i], std::move(candidates));
+    rows.keys.push_back(keys[i]);
+    rows.offsets.push_back(static_cast<uint32_t>(end));
   }
   out.Finalize();
   return out;

@@ -40,7 +40,7 @@ namespace paris::core {
 //
 // Everything map-shaped is serialized in sorted key order, so identical
 // results produce byte-identical files. Per-iteration history snapshots
-// (`IterationRecord::max_left/max_right/relations`) are NOT serialized —
+// (`IterationRecord::instances/relations`) are NOT serialized —
 // they feed the experiment tables, not the fixpoint; a resumed run carries
 // the scalar records of the completed iterations only.
 //

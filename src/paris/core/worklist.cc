@@ -6,12 +6,7 @@ namespace paris::core {
 
 SemiNaiveTracker::SemiNaiveTracker(const ontology::Ontology& left,
                                    const ontology::Ontology& right)
-    : left_(left), right_(right) {
-  instance_index_.reserve(left_.instances().size());
-  for (size_t i = 0; i < left_.instances().size(); ++i) {
-    instance_index_.emplace(left_.instances()[i], static_cast<uint32_t>(i));
-  }
-}
+    : left_(left), right_(right) {}
 
 void SemiNaiveTracker::Reset() {
   have_instance_diff_ = false;
@@ -41,10 +36,10 @@ void SemiNaiveTracker::ObserveScores(const RelationScores& before,
   have_score_diff_ = true;
 }
 
-bool SemiNaiveTracker::ExactFixpoint(const InstanceEquivalences& prev,
-                                     const InstanceEquivalences& current,
-                                     const RelationScores& prev_scores,
-                                     const RelationScores& current_scores) const {
+bool SemiNaiveTracker::ExactFixpoint(
+    const InstanceEquivalences& prev, const InstanceEquivalences& current,
+    const RelationScores& prev_scores,
+    const RelationScores& current_scores) const {
   if (prev_scores.bootstrap() || current_scores.bootstrap()) return false;
   std::vector<rdf::TermId> terms;
   prev.DiffLeftTerms(current, &terms);
@@ -82,10 +77,11 @@ void SemiNaiveTracker::SeedRelationWorklist(SemiNaiveWorklist* wl) const {
 
 void SemiNaiveTracker::MarkInstance(rdf::TermId t,
                                     SemiNaiveWorklist* wl) const {
-  auto it = instance_index_.find(t);
-  if (it == instance_index_.end()) return;  // literal or right-only term
-  if (wl->dirty_instances[it->second] == 0) {
-    wl->dirty_instances[it->second] = 1;
+  const uint32_t position = left_.InstancePosition(t);
+  // A literal, a class or a right-only term.
+  if (position == ontology::Ontology::kNoInstance) return;
+  if (wl->dirty_instances[position] == 0) {
+    wl->dirty_instances[position] = 1;
     ++wl->num_dirty_instances;
   }
 }

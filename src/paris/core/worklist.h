@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "paris/core/equiv.h"
@@ -142,8 +141,6 @@ class SemiNaiveTracker {
 
   const ontology::Ontology& left_;
   const ontology::Ontology& right_;
-  // Left instance term → position in left.instances() (the pass item space).
-  std::unordered_map<rdf::TermId, uint32_t> instance_index_;
 
   bool have_instance_diff_ = false;
   bool have_score_diff_ = false;

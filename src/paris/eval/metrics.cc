@@ -1,24 +1,19 @@
 #include "paris/eval/metrics.h"
 
+#include <unordered_map>
 #include <unordered_set>
 
 namespace paris::eval {
 
-PrecisionRecall EvaluateInstanceMap(
-    const std::unordered_map<rdf::TermId, core::Candidate>& max_left,
-    const synth::DerivedGold& gold) {
-  PrecisionRecall pr;
-  pr.gold = gold.num_instance_pairs();
-  for (const auto& [left, candidate] : max_left) {
-    ++pr.predicted;
-    if (gold.InstanceMatch(left, candidate.other)) ++pr.correct;
-  }
-  return pr;
-}
-
 PrecisionRecall EvaluateInstances(const core::InstanceEquivalences& equiv,
                                   const synth::DerivedGold& gold) {
-  return EvaluateInstanceMap(equiv.max_left(), gold);
+  PrecisionRecall pr;
+  pr.gold = gold.num_instance_pairs();
+  equiv.ForEachMaxOfLeft([&](rdf::TermId left, const core::Candidate& best) {
+    ++pr.predicted;
+    if (gold.InstanceMatch(left, best.other)) ++pr.correct;
+  });
+  return pr;
 }
 
 PrecisionRecall EvaluateInstancesFiltered(
@@ -28,11 +23,11 @@ PrecisionRecall EvaluateInstancesFiltered(
   for (const auto& [left, right] : gold.left_to_right()) {
     if (include_left(left)) ++pr.gold;
   }
-  for (const auto& [left, candidate] : equiv.max_left()) {
-    if (!include_left(left)) continue;
+  equiv.ForEachMaxOfLeft([&](rdf::TermId left, const core::Candidate& best) {
+    if (!include_left(left)) return;
     ++pr.predicted;
-    if (gold.InstanceMatch(left, candidate.other)) ++pr.correct;
-  }
+    if (gold.InstanceMatch(left, best.other)) ++pr.correct;
+  });
   return pr;
 }
 

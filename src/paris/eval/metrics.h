@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <unordered_map>
 
 #include "paris/core/class_align.h"
 #include "paris/core/equiv.h"
@@ -37,14 +36,10 @@ struct PrecisionRecall {
   }
 };
 
-// Scores a maximal assignment map (left instance → best candidate) against
-// the derived gold standard. A prediction for an instance without a gold
-// counterpart is a false positive.
-PrecisionRecall EvaluateInstanceMap(
-    const std::unordered_map<rdf::TermId, core::Candidate>& max_left,
-    const synth::DerivedGold& gold);
-
-// Same, from a finalized equivalence store.
+// Scores the maximal assignment of a finalized equivalence store (left
+// instance → best candidate) against the derived gold standard. A
+// prediction for an instance without a gold counterpart is a false
+// positive.
 PrecisionRecall EvaluateInstances(const core::InstanceEquivalences& equiv,
                                   const synth::DerivedGold& gold);
 

@@ -76,9 +76,9 @@ TEST_F(AlignerTest, SharedInverseFunctionalValueUnifies) {
   // Iteration 1 (hand-computed): fun⁻¹ = 1 on both sides, sub-relation
   // scores bootstrap at θ → Pr = 1 - (1-θ)² = 0.19.
   ASSERT_FALSE(result.iterations.empty());
-  const auto& first = result.iterations.front().max_left;
-  ASSERT_TRUE(first.contains(a1));
-  EXPECT_NEAR(first.at(a1).prob, 1.0 - 0.9 * 0.9, 1e-12);
+  const auto* first = result.iterations.front().instances.MaxOfLeft(a1);
+  ASSERT_NE(first, nullptr);
+  EXPECT_NEAR(first->prob, 1.0 - 0.9 * 0.9, 1e-12);
 
   // After convergence the relations are mutually contained with score 1 and
   // the instances match with probability 1.
@@ -379,13 +379,13 @@ TEST_F(AlignerTest, RunsAreDeterministic) {
   config.max_iterations = 3;
   AlignmentResult r1 = Aligner(*left_, *right_, config).Run();
   AlignmentResult r2 = Aligner(*left_, *right_, config).Run();
-  ASSERT_EQ(r1.instances.max_left().size(), r2.instances.max_left().size());
-  for (const auto& [l, c] : r1.instances.max_left()) {
+  ASSERT_EQ(r1.instances.num_left_aligned(), r2.instances.num_left_aligned());
+  r1.instances.ForEachMaxOfLeft([&](TermId l, const Candidate& c) {
     const auto* other = r2.instances.MaxOfLeft(l);
     ASSERT_NE(other, nullptr);
     EXPECT_EQ(other->other, c.other);
     EXPECT_DOUBLE_EQ(other->prob, c.prob);
-  }
+  });
 }
 
 // The full fixpoint — instance pass, relation pass, and class pass — must
@@ -426,15 +426,15 @@ TEST_F(AlignerTest, ByteIdenticalAcrossThreadCounts) {
       continue;
     }
     // Instance assignments: identical keys, counterparts, and exact probs.
-    ASSERT_EQ(result.instances.max_left().size(),
-              reference->instances.max_left().size())
+    ASSERT_EQ(result.instances.num_left_aligned(),
+              reference->instances.num_left_aligned())
         << "threads=" << threads;
-    for (const auto& [l, c] : reference->instances.max_left()) {
+    reference->instances.ForEachMaxOfLeft([&](TermId l, const Candidate& c) {
       const auto* other = result.instances.MaxOfLeft(l);
       ASSERT_NE(other, nullptr) << "threads=" << threads;
       EXPECT_EQ(other->other, c.other);
       EXPECT_EQ(other->prob, c.prob) << "threads=" << threads;
-    }
+    });
     // Relation tables: identical entries in identical iteration order.
     const auto& expect_entries = reference->relations.Entries();
     const auto& got_entries = result.relations.Entries();
@@ -479,13 +479,13 @@ TEST_F(AlignerTest, ThreadedRunMatchesSerial) {
   threaded.num_threads = 4;
   AlignmentResult r1 = Aligner(*left_, *right_, serial).Run();
   AlignmentResult r2 = Aligner(*left_, *right_, threaded).Run();
-  ASSERT_EQ(r1.instances.max_left().size(), r2.instances.max_left().size());
-  for (const auto& [l, c] : r1.instances.max_left()) {
+  ASSERT_EQ(r1.instances.num_left_aligned(), r2.instances.num_left_aligned());
+  r1.instances.ForEachMaxOfLeft([&](TermId l, const Candidate& c) {
     const auto* other = r2.instances.MaxOfLeft(l);
     ASSERT_NE(other, nullptr);
     EXPECT_EQ(other->other, c.other);
     EXPECT_DOUBLE_EQ(other->prob, c.prob);
-  }
+  });
 }
 
 }  // namespace

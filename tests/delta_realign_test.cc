@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "exact_dump.h"
 #include "paris/api/dataset.h"
 #include "paris/api/session.h"
 #include "paris/ontology/ontology.h"
@@ -274,21 +275,9 @@ class DeltaRealignTest : public ::testing::Test {
     return options;
   }
 
-  // All three exported tables as one string — the byte-identity currency
-  // of these tests. Each call exports to a fresh prefix.
-  static std::string Tables(const Session& session) {
-    static int counter = 0;
-    const std::string prefix = TempPath("tables_" + std::to_string(counter++));
-    EXPECT_TRUE(session.Export(prefix).ok());
-    std::string all;
-    for (const char* table : {"_instances.tsv", "_relations.tsv",
-                              "_classes.tsv"}) {
-      std::ifstream in(prefix + table, std::ios::binary);
-      std::stringstream buffer;
-      buffer << in.rdbuf();
-      all += buffer.str();
-    }
-    return all;
+  static std::string Dump(const Session& session) {
+    return testutil::ExactDump(session.result(), session.left(),
+                               session.right());
   }
 
  private:
@@ -304,7 +293,7 @@ TEST_F(DeltaRealignTest, RealignFromOwnResult) {
   ASSERT_TRUE(session.LoadFromFiles(split().left_path, split().right_path)
                   .ok());
   ASSERT_TRUE(session.Align().ok());
-  const std::string base_tables = Tables(session);
+  const std::string base_tables = Dump(session);
 
   ASSERT_TRUE(
       session.ApplyDelta(Session::DeltaSide::kLeft, split().delta_path).ok());
@@ -312,7 +301,7 @@ TEST_F(DeltaRealignTest, RealignFromOwnResult) {
   ASSERT_TRUE(session.Realign().ok());
   EXPECT_EQ(session.num_staged_deltas(), 0u);
   EXPECT_TRUE(session.has_result());
-  EXPECT_NE(Tables(session), base_tables);
+  EXPECT_NE(Dump(session), base_tables);
 
   // The result was replaced: a second delta-free Realign must refuse.
   EXPECT_EQ(session.Realign().code(), StatusCode::kFailedPrecondition);
@@ -331,7 +320,7 @@ TEST_F(DeltaRealignTest, RealignFromSavedResultMatchesInMemoryPath) {
                                    split().delta_path)
                     .ok());
     ASSERT_TRUE(session.Realign().ok());
-    via_memory = Tables(session);
+    via_memory = Dump(session);
   }
   {
     Session session(FixedWorkOptions(4));
@@ -341,7 +330,7 @@ TEST_F(DeltaRealignTest, RealignFromSavedResultMatchesInMemoryPath) {
                                    split().delta_path)
                     .ok());
     ASSERT_TRUE(session.Realign(saved).ok());
-    EXPECT_EQ(Tables(session), via_memory);
+    EXPECT_EQ(Dump(session), via_memory);
   }
 }
 
@@ -369,7 +358,7 @@ TEST_F(DeltaRealignTest, RealignByteIdenticalAcrossThreadsAndShards) {
                                      split().delta_path)
                       .ok());
       ASSERT_TRUE(session.Realign(saved).ok());
-      const std::string tables = Tables(session);
+      const std::string tables = Dump(session);
       if (reference.empty()) {
         reference = tables;
       } else {
@@ -384,15 +373,15 @@ TEST_F(DeltaRealignTest, RealignByteIdenticalAcrossThreadsAndShards) {
 // of a cold run over base+delta (different trajectory), but the maximal
 // instance assignment must agree on all but borderline-tie pairs.
 TEST_F(DeltaRealignTest, RealignAgreesWithColdRunOnMergedOntology) {
-  auto assignment = [](const std::string& tables) {
+  auto assignment = [](const Session& session) {
+    std::ostringstream tsv;
+    EXPECT_TRUE(session.WriteInstanceAlignment(tsv).ok());
     std::vector<std::string> pairs;
-    std::istringstream in(tables);
+    std::istringstream in(tsv.str());
     std::string line;
     while (std::getline(in, line)) {
       if (line.empty() || line[0] == '#') continue;
-      const size_t second_tab = line.find('\t', line.find('\t') + 1);
-      if (second_tab == std::string::npos) break;  // end of instance table
-      pairs.push_back(line.substr(0, second_tab));
+      pairs.push_back(line.substr(0, line.find('\t', line.find('\t') + 1)));
     }
     return pairs;
   };
@@ -400,7 +389,7 @@ TEST_F(DeltaRealignTest, RealignAgreesWithColdRunOnMergedOntology) {
   Session cold(FixedWorkOptions(4));
   ASSERT_TRUE(cold.LoadFromFiles(full().left_path, full().right_path).ok());
   ASSERT_TRUE(cold.Align().ok());
-  const std::vector<std::string> cold_pairs = assignment(Tables(cold));
+  const std::vector<std::string> cold_pairs = assignment(cold);
 
   Session incremental(FixedWorkOptions(4));
   ASSERT_TRUE(
@@ -410,7 +399,7 @@ TEST_F(DeltaRealignTest, RealignAgreesWithColdRunOnMergedOntology) {
                   .ApplyDelta(Session::DeltaSide::kLeft, split().delta_path)
                   .ok());
   ASSERT_TRUE(incremental.Realign().ok());
-  const std::vector<std::string> inc_pairs = assignment(Tables(incremental));
+  const std::vector<std::string> inc_pairs = assignment(incremental);
 
   ASSERT_FALSE(cold_pairs.empty());
   size_t common = 0;

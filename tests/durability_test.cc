@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "paris/api/dataset.h"
+#include "exact_dump.h"
 #include "paris/api/session.h"
 #include "paris/core/aligner.h"
 #include "paris/core/checkpoint.h"
@@ -170,12 +171,8 @@ class DurabilityWorkloadTest : public ::testing::Test {
     return core::Aligner(*pair_.left, *pair_.right, config).Run();
   }
 
-  std::string Tables(const AlignmentResult& result) const {
-    std::ostringstream out;
-    core::WriteInstanceAlignment(result.instances, left(), right(), out);
-    core::WriteRelationAlignment(result.relations, left(), right(), out);
-    core::WriteClassAlignment(result.classes, left(), right(), out);
-    return out.str();
+  std::string Dump(const AlignmentResult& result) const {
+    return testutil::ExactDump(result, left(), right());
   }
 
   // A complete-result view, as the checkpointer would capture between
@@ -250,7 +247,7 @@ TEST_F(DurabilityWorkloadTest, EveryFaultPointSurvivesEveryFaultKind) {
       auto latest = core::LoadLatestCheckpoint(dir, left(), right(), config_,
                                                "identity");
       if (latest.ok()) {
-        EXPECT_EQ(Tables(*latest), Tables(result_));
+        EXPECT_EQ(Dump(*latest), Dump(result_));
       } else {
         EXPECT_EQ(latest.status().code(), StatusCode::kNotFound)
             << latest.status().ToString();
@@ -311,7 +308,7 @@ TEST_F(DurabilityWorkloadTest, CheckpointWriterJournalsAndGarbageCollects) {
   auto latest =
       core::LoadLatestCheckpoint(dir, left(), right(), config_, "identity");
   ASSERT_TRUE(latest.ok()) << latest.status().ToString();
-  EXPECT_EQ(Tables(*latest), Tables(result_));
+  EXPECT_EQ(Dump(*latest), Dump(result_));
 
   // A new writer in the same directory continues the sequence instead of
   // reusing (and clobbering) journaled numbers.
@@ -351,7 +348,7 @@ TEST_F(DurabilityWorkloadTest, LoadLatestCheckpointSkipsCorruptEntries) {
   auto latest =
       core::LoadLatestCheckpoint(dir, left(), right(), config_, "identity");
   ASSERT_TRUE(latest.ok()) << latest.status().ToString();
-  EXPECT_EQ(Tables(*latest), Tables(result_));
+  EXPECT_EQ(Dump(*latest), Dump(result_));
 
   // With every entry corrupt there is nothing to adopt: kNotFound, so the
   // caller recomputes from scratch.
@@ -404,14 +401,14 @@ TEST_F(DurabilityWorkloadTest, CheckpointWriterStartsAnEmptyJournal) {
 // reconverges to byte-identical tables.
 TEST_F(DurabilityWorkloadTest, CheckpointedRunAndResumeAreByteIdentical) {
   const AlignmentResult cold = Run(FixedWorkConfig(3, 0));
-  const std::string reference = Tables(cold);
+  const std::string reference = Dump(cold);
 
   AlignmentConfig ckpt_config = FixedWorkConfig(3, 0);
   ckpt_config.checkpoint_dir = FreshDir("ckpt_run");
   ckpt_config.checkpoint_interval = 1e-9;  // capture at every eligible shard
   core::Aligner aligner(left(), right(), ckpt_config);
   const AlignmentResult checkpointed = aligner.Run();
-  EXPECT_EQ(Tables(checkpointed), reference);
+  EXPECT_EQ(Dump(checkpointed), reference);
   EXPECT_TRUE(FileExists(ckpt_config.checkpoint_dir + "/MANIFEST"));
 
   for (size_t threads : {size_t{0}, size_t{4}}) {
@@ -424,7 +421,7 @@ TEST_F(DurabilityWorkloadTest, CheckpointedRunAndResumeAreByteIdentical) {
                                              "identity");
     ASSERT_TRUE(latest.ok()) << latest.status().ToString();
     const AlignmentResult resumed = resumer.Resume(std::move(latest).value());
-    EXPECT_EQ(Tables(resumed), reference);
+    EXPECT_EQ(Dump(resumed), reference);
   }
 }
 

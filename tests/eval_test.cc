@@ -8,6 +8,8 @@
 namespace paris::eval {
 namespace {
 
+using Row = std::vector<core::Candidate>;
+
 // Builds a small derived pair with a known gold standard to exercise the
 // metric functions.
 class EvalTest : public ::testing::Test {
@@ -47,7 +49,7 @@ class EvalTest : public ::testing::Test {
 TEST_F(EvalTest, PerfectAssignmentScoresPerfect) {
   core::InstanceEquivalences equiv;
   for (const auto& [l, r] : pair_->gold.left_to_right()) {
-    equiv.Set(l, {{r, 1.0}});
+    equiv.Set(l, Row{{r, 1.0}});
   }
   equiv.Finalize();
   const auto pr = EvaluateInstances(equiv, pair_->gold);
@@ -63,8 +65,8 @@ TEST_F(EvalTest, WrongAssignmentIsFalsePositive) {
   core::InstanceEquivalences equiv;
   const rdf::TermId l0 = LeftInstance(0);
   const rdf::TermId l1 = LeftInstance(1);
-  equiv.Set(l0, {{GoldOf(l1), 1.0}});  // wrong counterpart
-  equiv.Set(l1, {{GoldOf(l1), 1.0}});  // right
+  equiv.Set(l0, Row{{GoldOf(l1), 1.0}});  // wrong counterpart
+  equiv.Set(l1, Row{{GoldOf(l1), 1.0}});  // right
   equiv.Finalize();
   const auto pr = EvaluateInstances(equiv, pair_->gold);
   EXPECT_EQ(pr.predicted, 2u);
@@ -86,7 +88,7 @@ TEST_F(EvalTest, EmptyAssignmentHasZeroRecall) {
 TEST_F(EvalTest, FilteredEvaluationRestrictsBothSides) {
   core::InstanceEquivalences equiv;
   for (const auto& [l, r] : pair_->gold.left_to_right()) {
-    equiv.Set(l, {{r, 1.0}});
+    equiv.Set(l, Row{{r, 1.0}});
   }
   equiv.Finalize();
   const rdf::TermId only = LeftInstance(3);

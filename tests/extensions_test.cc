@@ -17,6 +17,7 @@ namespace {
 using ontology::Ontology;
 using ontology::OntologyBuilder;
 using rdf::TermKind;
+using Row = std::vector<Candidate>;
 
 class ExtensionsTest : public ::testing::Test {
  protected:
@@ -58,22 +59,22 @@ TEST_F(ExtensionsTest, DampeningPreservesConvergedMatches) {
   damped.dampening = 0.5;
   AlignmentResult r1 = Aligner(a, b, plain).Run();
   AlignmentResult r2 = Aligner(a, b, damped).Run();
-  ASSERT_EQ(r1.instances.max_left().size(), r2.instances.max_left().size());
-  for (const auto& [l, c] : r1.instances.max_left()) {
+  ASSERT_EQ(r1.instances.num_left_aligned(), r2.instances.num_left_aligned());
+  r1.instances.ForEachMaxOfLeft([&](rdf::TermId l, const Candidate& c) {
     const auto* other = r2.instances.MaxOfLeft(l);
     ASSERT_NE(other, nullptr);
     EXPECT_EQ(other->other, c.other);  // same assignment, possibly damped p
-  }
+  });
 }
 
 TEST(BlendEquivalencesTest, BlendsProbabilities) {
   InstanceEquivalences old_store;
-  old_store.Set(1, {{10, 0.8}});
-  old_store.Set(2, {{11, 0.6}});
+  old_store.Set(1, Row{{10, 0.8}});
+  old_store.Set(2, Row{{11, 0.6}});
   old_store.Finalize();
   InstanceEquivalences fresh;
-  fresh.Set(1, {{10, 0.4}});   // overlapping candidate
-  fresh.Set(3, {{12, 0.9}});   // new instance
+  fresh.Set(1, Row{{10, 0.4}});   // overlapping candidate
+  fresh.Set(3, Row{{12, 0.9}});   // new instance
   fresh.Finalize();
   InstanceEquivalences blended =
       BlendEquivalences(old_store, fresh, /*lambda=*/0.5, /*threshold=*/0.1,
@@ -91,7 +92,7 @@ TEST(BlendEquivalencesTest, BlendsProbabilities) {
 
 TEST(BlendEquivalencesTest, ThresholdDropsWeakBlends) {
   InstanceEquivalences old_store;
-  old_store.Set(1, {{10, 0.15}});
+  old_store.Set(1, Row{{10, 0.15}});
   old_store.Finalize();
   InstanceEquivalences fresh;
   fresh.Finalize();
@@ -120,20 +121,21 @@ TEST_F(ExtensionsTest, NamePriorBoostsBootstrapButNotConvergence) {
   // Iteration-1 probabilities are higher with the prior (the bootstrap
   // score exceeds θ for the similarly-named relation pair)...
   const rdf::TermId e0 = Iri("a:e0");
-  ASSERT_TRUE(r_plain.iterations.front().max_left.contains(e0));
-  ASSERT_TRUE(r_prior.iterations.front().max_left.contains(e0));
-  EXPECT_GT(r_prior.iterations.front().max_left.at(e0).prob,
-            r_plain.iterations.front().max_left.at(e0).prob);
+  const auto* first_plain = r_plain.iterations.front().instances.MaxOfLeft(e0);
+  const auto* first_prior = r_prior.iterations.front().instances.MaxOfLeft(e0);
+  ASSERT_NE(first_plain, nullptr);
+  ASSERT_NE(first_prior, nullptr);
+  EXPECT_GT(first_prior->prob, first_plain->prob);
 
   // ... but the converged assignments coincide.
-  ASSERT_EQ(r_plain.instances.max_left().size(),
-            r_prior.instances.max_left().size());
-  for (const auto& [l, c] : r_plain.instances.max_left()) {
+  ASSERT_EQ(r_plain.instances.num_left_aligned(),
+            r_prior.instances.num_left_aligned());
+  r_plain.instances.ForEachMaxOfLeft([&](rdf::TermId l, const Candidate& c) {
     const auto* other = r_prior.instances.MaxOfLeft(l);
     ASSERT_NE(other, nullptr);
     EXPECT_EQ(other->other, c.other);
     EXPECT_NEAR(other->prob, c.prob, 1e-9);
-  }
+  });
 }
 
 TEST(RelationScoresTest, BootstrapPriorLookup) {
@@ -168,13 +170,13 @@ TEST_F(ExtensionsTest, InstanceAlignmentRoundTrip) {
   std::istringstream in(out.str());
   auto restored = ReadInstanceAlignment(in, pool_);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(restored->max_left().size(), result.instances.max_left().size());
-  for (const auto& [l, c] : result.instances.max_left()) {
+  EXPECT_EQ(restored->num_left_aligned(), result.instances.num_left_aligned());
+  result.instances.ForEachMaxOfLeft([&](rdf::TermId l, const Candidate& c) {
     const auto* other = restored->MaxOfLeft(l);
     ASSERT_NE(other, nullptr);
     EXPECT_EQ(other->other, c.other);
     EXPECT_NEAR(other->prob, c.prob, 1e-9);
-  }
+  });
 }
 
 TEST_F(ExtensionsTest, ReadRejectsMalformedLines) {
@@ -186,6 +188,16 @@ TEST_F(ExtensionsTest, ReadRejectsMalformedLines) {
   pool_.InternIri("k:b");
   std::istringstream bad3("k:a\tk:b\t1.5\n");  // probability out of range
   EXPECT_FALSE(ReadInstanceAlignment(bad3, pool_).ok());
+  // The store holds only 0 < p <= 1, parsed from the whole field, and one
+  // list per left term.
+  for (const char* text : {"k:a\tk:b\tnan\n", "k:a\tk:b\t0\n",
+                           "k:a\tk:b\t0.5abc\n",
+                           "k:a\tk:b\t0.5\nk:a\tk:b\t0.75\n"}) {
+    std::istringstream bad(text);
+    const auto read = ReadInstanceAlignment(bad, pool_);
+    EXPECT_EQ(read.status().code(), util::StatusCode::kInvalidArgument)
+        << text;
+  }
   std::istringstream good("# comment\n\nk:a\tk:b\t0.75\n");
   auto restored = ReadInstanceAlignment(good, pool_);
   ASSERT_TRUE(restored.ok());
@@ -212,7 +224,7 @@ TEST_F(ExtensionsTest, OaeiAlignmentFormatWellFormed) {
        pos = xml.find("<Cell>", pos + 1)) {
     ++cells;
   }
-  EXPECT_EQ(cells, result.instances.max_left().size());
+  EXPECT_EQ(cells, result.instances.num_left_aligned());
 }
 
 TEST_F(ExtensionsTest, RelationAndClassSectionsWritten) {

@@ -126,10 +126,9 @@ TEST_F(IntegrationTest, YagoDbpediaIterationsImprove) {
   // Table 3 shape: F-measure improves from iteration 1 to the last and the
   // change fraction shrinks monotonically (convergence).
   const auto first =
-      eval::EvaluateInstanceMap(result.iterations.front().max_left,
-                                pair->gold);
-  const auto last = eval::EvaluateInstanceMap(
-      result.iterations.back().max_left, pair->gold);
+      EvaluateInstances(result.iterations.front().instances, pair->gold);
+  const auto last =
+      EvaluateInstances(result.iterations.back().instances, pair->gold);
   EXPECT_GE(last.f1(), first.f1());
   EXPECT_LT(result.iterations.back().change_fraction,
             result.iterations[1].change_fraction);

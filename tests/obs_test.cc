@@ -13,10 +13,10 @@
 #include <string>
 #include <vector>
 
+#include "exact_dump.h"
 #include "paris/api/session.h"
 #include "paris/core/aligner.h"
 #include "paris/core/pass.h"
-#include "paris/core/result_io.h"
 #include "paris/core/telemetry.h"
 #include "paris/obs/hooks.h"
 #include "paris/obs/metrics.h"
@@ -32,6 +32,7 @@ namespace {
 
 using core::AlignmentConfig;
 using core::AlignmentResult;
+using testutil::ExactDump;
 
 size_t CountOccurrences(const std::string& haystack,
                         const std::string& needle) {
@@ -151,16 +152,6 @@ TEST(MetricsTest, GaugesAndSortedJson) {
 // Instrumented pipeline
 // ---------------------------------------------------------------------------
 
-std::string Tables(const AlignmentResult& result,
-                   const ontology::Ontology& left,
-                   const ontology::Ontology& right) {
-  std::ostringstream out;
-  core::WriteInstanceAlignment(result.instances, left, right, out);
-  core::WriteRelationAlignment(result.relations, left, right, out);
-  core::WriteClassAlignment(result.classes, left, right, out);
-  return out.str();
-}
-
 class ObsPipelineTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -196,13 +187,13 @@ class ObsPipelineTest : public ::testing::Test {
 // The subsystem's prime directive: observability never changes the output.
 TEST_F(ObsPipelineTest, OutputByteIdenticalWithObservabilityOnAcrossThreads) {
   const std::string reference =
-      Tables(Run(FixedWorkConfig(0)), left(), right());
+      ExactDump(Run(FixedWorkConfig(0)), left(), right());
   for (size_t threads : {size_t{0}, size_t{1}, size_t{4}}) {
     obs::TraceRecorder trace(threads == 0 ? 1 : threads);
     obs::MetricsRegistry metrics(threads == 0 ? 1 : threads);
     const AlignmentResult result =
         Run(FixedWorkConfig(threads), {&trace, &metrics});
-    EXPECT_EQ(Tables(result, left(), right()), reference)
+    EXPECT_EQ(ExactDump(result, left(), right()), reference)
         << "threads=" << threads;
     EXPECT_GT(trace.num_events(), 0u) << "threads=" << threads;
   }
@@ -279,6 +270,37 @@ TEST_F(ObsPipelineTest, TraceCoversEveryIterationPassAndShard) {
   // Serial bookends are traced per pass phase.
   EXPECT_EQ(CountOccurrences(json, "\"name\":\"instance.prepare\""), 3u);
   EXPECT_EQ(CountOccurrences(json, "\"name\":\"class.merge\""), 1u);
+  // So is the serial bookkeeping after each pass; only a Realign seeds.
+  EXPECT_EQ(CountOccurrences(json, "\"name\":\"instance.bookkeeping\""),
+            3u);
+  EXPECT_EQ(CountOccurrences(json, "\"name\":\"relation.bookkeeping\""),
+            3u);
+  EXPECT_EQ(CountOccurrences(json, "\"name\":\"realign.seed\""), 0u);
+}
+
+// A Realign traces its seeding once, before iteration 1, and the serial
+// bookkeeping after each pass once per iteration.
+TEST_F(ObsPipelineTest, RealignTracesSeedingAndBookkeeping) {
+  const AlignmentConfig config = FixedWorkConfig(0);
+  const AlignmentResult base = Run(config);
+  core::RealignSeed seed;
+  seed.instances = base.instances;
+  seed.relations = base.relations;
+  seed.left_touched_terms = {left().instances().front()};
+  obs::TraceRecorder trace(1);
+  core::Aligner aligner(left(), right(), config);
+  aligner.set_observability({&trace, nullptr});
+  const AlignmentResult result = aligner.Realign(std::move(seed));
+  ASSERT_FALSE(result.iterations.empty());
+
+  std::ostringstream out;
+  trace.WriteJson(out);
+  const std::string json = out.str();
+  EXPECT_EQ(CountOccurrences(json, "\"name\":\"realign.seed\""), 1u);
+  EXPECT_EQ(CountOccurrences(json, "\"name\":\"instance.bookkeeping\""),
+            result.iterations.size());
+  EXPECT_EQ(CountOccurrences(json, "\"name\":\"relation.bookkeeping\""),
+            result.iterations.size());
 }
 
 // The per-iteration convergence telemetry counts every left instance

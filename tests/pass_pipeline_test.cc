@@ -16,10 +16,10 @@
 #include <vector>
 
 #include "paris/api/dataset.h"
+#include "exact_dump.h"
 #include "paris/api/session.h"
 #include "paris/core/aligner.h"
 #include "paris/core/pass.h"
-#include "paris/core/result_io.h"
 #include "paris/core/result_snapshot.h"
 #include "paris/obs/metrics.h"
 #include "paris/obs/trace.h"
@@ -31,6 +31,7 @@ namespace {
 
 using core::AlignmentConfig;
 using core::AlignmentResult;
+using testutil::ExactDump;
 using storage::SnapshotLoadMode;
 
 std::string TempPath(const std::string& name) {
@@ -42,18 +43,6 @@ std::string ReadFile(const std::string& path) {
   std::stringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
-}
-
-// The three TSV tables as one string: "byte-identical output" in the sense
-// of `paris_align --output`.
-std::string Tables(const AlignmentResult& result,
-                   const ontology::Ontology& left,
-                   const ontology::Ontology& right) {
-  std::ostringstream out;
-  core::WriteInstanceAlignment(result.instances, left, right, out);
-  core::WriteRelationAlignment(result.relations, left, right, out);
-  core::WriteClassAlignment(result.classes, left, right, out);
-  return out.str();
 }
 
 class PassPipelineTest : public ::testing::Test {
@@ -94,13 +83,13 @@ class PassPipelineTest : public ::testing::Test {
 // including the relation table's canonical entry order.
 TEST_F(PassPipelineTest, ResultsInvariantAcrossShardAndThreadCounts) {
   const AlignmentResult reference = Run(FixedWorkConfig(3, 0, 0));
-  const std::string reference_tables = Tables(reference, left(), right());
+  const std::string reference_tables = ExactDump(reference, left(), right());
   ASSERT_GT(reference.instances.num_left_aligned(), 0u);
 
   for (size_t shards : {size_t{1}, size_t{3}, size_t{17}, size_t{1000}}) {
     for (size_t threads : {size_t{0}, size_t{4}}) {
       const AlignmentResult result = Run(FixedWorkConfig(3, threads, shards));
-      EXPECT_EQ(Tables(result, left(), right()), reference_tables)
+      EXPECT_EQ(ExactDump(result, left(), right()), reference_tables)
           << "shards=" << shards << " threads=" << threads;
       const auto& expect_entries = reference.relations.Entries();
       const auto& got_entries = result.relations.Entries();
@@ -119,14 +108,14 @@ TEST_F(PassPipelineTest, ResultsInvariantAcrossShardAndThreadCounts) {
 // count, while the recorders actually collect.
 TEST_F(PassPipelineTest, ResultsUnchangedWithObservabilityAttached) {
   const std::string reference =
-      Tables(Run(FixedWorkConfig(3, 0, 8)), left(), right());
+      ExactDump(Run(FixedWorkConfig(3, 0, 8)), left(), right());
   for (size_t threads : {size_t{0}, size_t{1}, size_t{4}}) {
     const size_t worker_slots = threads == 0 ? 1 : threads;
     obs::TraceRecorder trace(worker_slots);
     obs::MetricsRegistry metrics(worker_slots);
     core::Aligner aligner(left(), right(), FixedWorkConfig(3, threads, 8));
     aligner.set_observability({&trace, &metrics});
-    EXPECT_EQ(Tables(aligner.Run(), left(), right()), reference)
+    EXPECT_EQ(ExactDump(aligner.Run(), left(), right()), reference)
         << "threads=" << threads;
     EXPECT_GT(trace.num_events(), 0u);
   }
@@ -199,7 +188,7 @@ TEST_F(PassPipelineTest, CancelAtInstanceShardBoundariesResumesByteIdentical) {
   const AlignmentResult cold = cold_aligner.Run();
   ASSERT_EQ(cold.iterations.size(), static_cast<size_t>(kMaxIterations));
   ASSERT_GT(kShards, 2u);
-  const std::string reference = Tables(cold, left(), right());
+  const std::string reference = ExactDump(cold, left(), right());
 
   struct Cut {
     int iteration;
@@ -255,7 +244,7 @@ TEST_F(PassPipelineTest, CancelAtInstanceShardBoundariesResumesByteIdentical) {
         EXPECT_EQ(resumed.iterations.size(),
                   static_cast<size_t>(kMaxIterations))
             << label;
-        EXPECT_EQ(Tables(resumed, left(), right()), reference)
+        EXPECT_EQ(ExactDump(resumed, left(), right()), reference)
             << label << " mode="
             << (mode == SnapshotLoadMode::kMmap ? "mmap" : "stream")
             << " threads=" << threads;
@@ -272,7 +261,7 @@ TEST_F(PassPipelineTest, CancelAtRelationShardBoundariesResumesByteIdentical) {
   constexpr int kMaxIterations = 3;
   const AlignmentConfig base = FixedWorkConfig(kMaxIterations, 0, 4);
   const AlignmentResult cold = Run(base);
-  const std::string reference = Tables(cold, left(), right());
+  const std::string reference = ExactDump(cold, left(), right());
 
   core::Aligner aligner(left(), right(), base);
   size_t relation_shards_seen = 0;
@@ -328,7 +317,7 @@ TEST_F(PassPipelineTest, CancelAtRelationShardBoundariesResumesByteIdentical) {
       EXPECT_EQ(resumed_instance_events, 0u) << "threads=" << threads;
       EXPECT_EQ(resumed_relation_events, relation_shards_seen - 1)
           << "threads=" << threads;
-      EXPECT_EQ(Tables(resumed, left(), right()), reference)
+      EXPECT_EQ(ExactDump(resumed, left(), right()), reference)
           << "mode=" << (mode == SnapshotLoadMode::kMmap ? "mmap" : "stream")
           << " threads=" << threads;
     }
@@ -341,7 +330,7 @@ TEST_F(PassPipelineTest, CancelAtRelationShardBoundariesResumesByteIdentical) {
 // pass recomputes.
 TEST_F(PassPipelineTest, ResumeUnderDifferentShardCountRecomputes) {
   const AlignmentConfig base = FixedWorkConfig(3, 0, 8);
-  const std::string reference = Tables(Run(base), left(), right());
+  const std::string reference = ExactDump(Run(base), left(), right());
 
   core::Aligner aligner(left(), right(), base);
   aligner.set_shard_observer([&](const core::ShardProgress& progress) {
@@ -363,7 +352,7 @@ TEST_F(PassPipelineTest, ResumeUnderDifferentShardCountRecomputes) {
   core::Aligner resume_aligner(left(), right(), resharded);
   const AlignmentResult resumed =
       resume_aligner.Resume(std::move(loaded).value());
-  EXPECT_EQ(Tables(resumed, left(), right()), reference);
+  EXPECT_EQ(ExactDump(resumed, left(), right()), reference);
   std::remove(path.c_str());
 }
 

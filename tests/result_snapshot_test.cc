@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "exact_dump.h"
 #include "paris/core/aligner.h"
 #include "paris/core/result_io.h"
 #include "paris/core/result_snapshot.h"
@@ -100,8 +101,8 @@ TEST_F(ResultSnapshotTest, RoundTripReproducesResult) {
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     EXPECT_EQ(loaded->iterations.size(), result.iterations.size());
     EXPECT_EQ(loaded->converged_at, result.converged_at);
-    EXPECT_EQ(loaded->instances.max_left(), result.instances.max_left());
-    EXPECT_EQ(loaded->instances.max_right(), result.instances.max_right());
+    EXPECT_EQ(testutil::ExactDump(*loaded, left(), right()),
+              testutil::ExactDump(result, left(), right()));
     EXPECT_EQ(Tables(*loaded, left(), right()),
               Tables(result, left(), right()));
   }

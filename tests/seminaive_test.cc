@@ -1,29 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "exact_dump.h"
 #include "paris/core/aligner.h"
-#include "paris/core/result_io.h"
 #include "paris/obs/metrics.h"
 #include "paris/synth/profiles.h"
 
 namespace paris::core {
 namespace {
 
-// All three alignment tables as one string — the byte-identity currency of
-// these tests (same serialization the CLI exports).
-std::string Tables(const AlignmentResult& result,
-                   const ontology::Ontology& left,
-                   const ontology::Ontology& right) {
-  std::ostringstream out;
-  WriteInstanceAlignment(result.instances, left, right, out);
-  WriteRelationAlignment(result.relations, left, right, out);
-  WriteClassAlignment(result.classes, left, right, out);
-  return out.str();
-}
+using testutil::ExactDump;
 
 uint64_t CounterValue(const obs::MetricsSnapshot& snap,
                       const std::string& name) {
@@ -60,7 +49,7 @@ class SemiNaiveTest : public ::testing::Test {
   static std::string RunTables(const AlignmentConfig& config) {
     Aligner aligner(*pair().left, *pair().right, config);
     AlignmentResult result = aligner.Run();
-    return Tables(result, *pair().left, *pair().right);
+    return ExactDump(result, *pair().left, *pair().right);
   }
 
  private:
@@ -170,7 +159,8 @@ TEST_F(SemiNaiveTest, PeriodTwoAttractorDrainsWithoutStopping) {
     const AlignmentResult result = aligner.Run();
     scored[semi_naive] =
         CounterValue(metrics.Snapshot(), "instance.entities_scored");
-    tables[semi_naive] = Tables(result, *pair2->left, *pair2->right);
+    tables[semi_naive] =
+        ExactDump(result, *pair2->left, *pair2->right);
     if (semi_naive) {
       EXPECT_EQ(result.converged_at, -1);  // period 2: no exact fixpoint
     }
