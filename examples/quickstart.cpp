@@ -57,12 +57,10 @@ int main() {
   paris::core::AlignmentResult result = aligner.Run();
 
   std::printf("\nInstance equivalences (maximal assignment):\n");
-  result.instances.ForEachMaxOfLeft(
-      [&](paris::rdf::TermId l, const paris::core::Candidate& candidate) {
-        std::printf("  %-14s ≡ %-14s  (Pr = %.3f)\n",
-                    left->TermName(l).c_str(),
-                    right->TermName(candidate.other).c_str(), candidate.prob);
-      });
+  result.instances.ForEachMaxOfLeft([&](auto l, const auto& candidate) {
+    std::printf("  %-14s ≡ %-14s  (Pr = %.3f)\n", left->TermName(l).c_str(),
+                right->TermName(candidate.other).c_str(), candidate.prob);
+  });
 
   std::printf("\nSub-relation alignments (score ≥ 0.3):\n");
   for (const auto& e : result.relations.Entries()) {

@@ -1,6 +1,5 @@
 #include "paris/core/relation_align.h"
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -88,13 +87,15 @@ void ScoreOneRelation(rdf::RelId rel, const DirectionalContext& ctx,
         for (const Candidate& cx : x_eq) {
           for (const rdf::Fact& f : target.FactsAbout(cx.other)) {
             // f = (r', y') encodes the statement r'(x', y').
-            const auto cy = std::find_if(
-                y_eq.rbegin(), y_eq.rend(),
-                [&f](const Candidate& c) { return c.other == f.other; });
-            if (cy == y_eq.rend()) continue;
-            auto product = std::find_if(
-                pair_products.begin(), pair_products.end(),
-                [&f](const auto& p) { return p.first == f.rel; });
+            const Candidate* cy = nullptr;
+            for (const Candidate& c : y_eq) {
+              if (c.other == f.other) cy = &c;
+            }
+            if (cy == nullptr) continue;
+            auto product = pair_products.begin();
+            while (product != pair_products.end() && product->first != f.rel) {
+              ++product;
+            }
             if (product == pair_products.end()) {
               product = pair_products.insert(product, {f.rel, 1.0});
             }

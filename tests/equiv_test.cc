@@ -172,11 +172,10 @@ Row RandomRow(std::mt19937& rng, TermId max_id) {
   const int n = length(rng);
   for (int i = 0; i < n; ++i) {
     const TermId other = id(rng);
-    const bool seen = std::any_of(row.begin(), row.end(),
-                                  [&](const Candidate& c) {
-                                    return c.other == other;
-                                  });
-    if (!seen) row.push_back({other, grid(rng) / 8.0});
+    const auto same = [other](const Candidate& c) { return c.other == other; };
+    if (std::none_of(row.begin(), row.end(), same)) {
+      row.push_back({other, grid(rng) / 8.0});
+    }
   }
   std::sort(row.begin(), row.end(), Better);
   return row;

@@ -767,14 +767,13 @@ TEST(QueryFastPathTest, AlignerByteIdenticalAcrossThreadsAndShards) {
       ASSERT_EQ(result.instances.num_left_aligned(),
                 reference->instances.num_left_aligned())
           << "threads=" << threads << " shards=" << shards;
-      reference->instances.ForEachMaxOfLeft(
-          [&](TermId l, const core::Candidate& c) {
-            const auto* other = result.instances.MaxOfLeft(l);
-            ASSERT_NE(other, nullptr) << "threads=" << threads;
-            EXPECT_EQ(other->other, c.other);
-            EXPECT_EQ(other->prob, c.prob)
-                << "threads=" << threads << " shards=" << shards;
-          });
+      reference->instances.ForEachMaxOfLeft([&](TermId l, const auto& c) {
+        const auto* other = result.instances.MaxOfLeft(l);
+        ASSERT_NE(other, nullptr) << "threads=" << threads;
+        EXPECT_EQ(other->other, c.other);
+        EXPECT_EQ(other->prob, c.prob)
+            << "threads=" << threads << " shards=" << shards;
+      });
       const auto& expect_entries = reference->relations.Entries();
       const auto& got_entries = result.relations.Entries();
       ASSERT_EQ(got_entries.size(), expect_entries.size());

@@ -379,35 +379,34 @@ TEST_F(ServiceResultTest, EntityLookupsMatchEquivalenceStore) {
   auto reader = ResultReader::Open(snapshot_path());
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
 
-  ASSERT_GT(result().instances.num_left_aligned(), 0u);
-  result().instances.ForEachMaxOfLeft(
-      [&](rdf::TermId left, const core::Candidate& best) {
-        const auto stored = result().instances.LeftToRight(left);
-        const auto candidates = reader->LeftEntity(left);
-        ASSERT_EQ(candidates.size(), stored.size());
-        for (size_t i = 0; i < stored.size(); ++i) {
-          EXPECT_EQ(candidates.others[i], stored[i].other);
-          EXPECT_EQ(candidates.probs[i], stored[i].prob);
-        }
-        // Best-first order: the head is the maximal assignment.
-        ASSERT_FALSE(candidates.empty());
-        EXPECT_EQ(candidates.others[0], best.other);
-        EXPECT_EQ(candidates.probs[0], best.prob);
-      });
+  const core::InstanceEquivalences& equiv = result().instances;
+  ASSERT_GT(equiv.num_left_aligned(), 0u);
+  equiv.ForEachMaxOfLeft([&](rdf::TermId left, const core::Candidate& best) {
+    const auto stored = equiv.LeftToRight(left);
+    const auto candidates = reader->LeftEntity(left);
+    ASSERT_EQ(candidates.size(), stored.size());
+    for (size_t i = 0; i < stored.size(); ++i) {
+      EXPECT_EQ(candidates.others[i], stored[i].other);
+      EXPECT_EQ(candidates.probs[i], stored[i].prob);
+    }
+    // Best-first order: the head is the maximal assignment.
+    ASSERT_FALSE(candidates.empty());
+    EXPECT_EQ(candidates.others[0], best.other);
+    EXPECT_EQ(candidates.probs[0], best.prob);
+  });
 
-  result().instances.ForEachMaxOfRight(
-      [&](rdf::TermId right, const core::Candidate& best) {
-        const auto matches = reader->RightEntity(right);
-        ASSERT_FALSE(matches.empty());
-        EXPECT_EQ(matches[0].other, best.other);
-        EXPECT_EQ(matches[0].prob, best.prob);
-        const auto stored = result().instances.RightToLeft(right);
-        ASSERT_EQ(matches.size(), stored.size());
-        for (size_t i = 0; i < stored.size(); ++i) {
-          EXPECT_EQ(matches[i].other, stored[i].other);
-          EXPECT_EQ(matches[i].prob, stored[i].prob);
-        }
-      });
+  equiv.ForEachMaxOfRight([&](rdf::TermId right, const core::Candidate& best) {
+    const auto matches = reader->RightEntity(right);
+    ASSERT_FALSE(matches.empty());
+    EXPECT_EQ(matches[0].other, best.other);
+    EXPECT_EQ(matches[0].prob, best.prob);
+    const auto stored = equiv.RightToLeft(right);
+    ASSERT_EQ(matches.size(), stored.size());
+    for (size_t i = 0; i < stored.size(); ++i) {
+      EXPECT_EQ(matches[i].other, stored[i].other);
+      EXPECT_EQ(matches[i].prob, stored[i].prob);
+    }
+  });
 }
 
 TEST_F(ServiceResultTest, RelationLookupsMatchScoreTable) {
@@ -482,16 +481,15 @@ TEST_F(ServiceResultTest, StreamModeAgreesWithMmap) {
 
   EXPECT_EQ(mapped->stats().num_instance_pairs,
             streamed->stats().num_instance_pairs);
-  result().instances.ForEachMaxOfLeft(
-      [&](rdf::TermId left, const core::Candidate&) {
-        const auto a = mapped->LeftEntity(left);
-        const auto b = streamed->LeftEntity(left);
-        ASSERT_EQ(a.size(), b.size());
-        for (size_t i = 0; i < a.size(); ++i) {
-          EXPECT_EQ(a.others[i], b.others[i]);
-          EXPECT_EQ(a.probs[i], b.probs[i]);
-        }
-      });
+  result().instances.ForEachMaxOfLeft([&](rdf::TermId left, const auto&) {
+    const auto a = mapped->LeftEntity(left);
+    const auto b = streamed->LeftEntity(left);
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a.others[i], b.others[i]);
+      EXPECT_EQ(a.probs[i], b.probs[i]);
+    }
+  });
 }
 
 TEST_F(ServiceResultTest, MissingSnapshotIsNotFound) {

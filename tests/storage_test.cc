@@ -718,13 +718,12 @@ TEST_F(AlignmentSnapshotTest, AlignmentIdenticalAcrossLoadPathsAndThreads) {
           run(loaded->left, loaded->right, threads);
       ASSERT_EQ(result.instances.num_left_aligned(),
                 reference.instances.num_left_aligned());
-      reference.instances.ForEachMaxOfLeft(
-          [&](TermId l_term, const core::Candidate& candidate) {
-            const auto* other = result.instances.MaxOfLeft(l_term);
-            ASSERT_NE(other, nullptr);
-            EXPECT_EQ(other->other, candidate.other);
-            EXPECT_EQ(other->prob, candidate.prob);
-          });
+      reference.instances.ForEachMaxOfLeft([&](TermId l, const auto& c) {
+        const auto* other = result.instances.MaxOfLeft(l);
+        ASSERT_NE(other, nullptr);
+        EXPECT_EQ(other->other, c.other);
+        EXPECT_EQ(other->prob, c.prob);
+      });
     }
   }
   std::remove(path.c_str());
