@@ -12,12 +12,11 @@
 #include <string_view>
 #include <vector>
 
-#include "paris/api/dataset.h"
 #include "exact_dump.h"
+#include "paris/api/dataset.h"
 #include "paris/api/session.h"
 #include "paris/core/aligner.h"
 #include "paris/core/checkpoint.h"
-#include "paris/core/result_io.h"
 #include "paris/core/result_snapshot.h"
 #include "paris/ontology/ontology.h"
 #include "paris/storage/snapshot.h"

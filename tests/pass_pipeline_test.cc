@@ -15,8 +15,8 @@
 #include <thread>
 #include <vector>
 
-#include "paris/api/dataset.h"
 #include "exact_dump.h"
+#include "paris/api/dataset.h"
 #include "paris/api/session.h"
 #include "paris/core/aligner.h"
 #include "paris/core/pass.h"
@@ -31,8 +31,8 @@ namespace {
 
 using core::AlignmentConfig;
 using core::AlignmentResult;
-using testutil::ExactDump;
 using storage::SnapshotLoadMode;
+using testutil::ExactDump;
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
