@@ -545,10 +545,11 @@ AlignmentResult Aligner::RunInternal(AlignmentResult* checkpoint,
     // cap. (A period-2 lock never triggers this; those runs keep iterating
     // at near-zero marginal cost so the output stays dependent on the cap's
     // parity, exactly like the exhaustive baseline.)
-    const bool exact_fixpoint =
-        !converged && config_.semi_naive &&
-        tracker.ExactFixpoint(previous, ctx.current, prev_prev_scores,
-                              rel_scores);
+    bool exact_fixpoint = false;
+    if (!converged && config_.semi_naive) {
+      exact_fixpoint = tracker.ExactFixpoint(previous, ctx.current,
+                                             prev_prev_scores, rel_scores);
+    }
     converged = converged || exact_fixpoint;
     prev_prev = std::move(previous);
     previous = std::move(ctx.current);

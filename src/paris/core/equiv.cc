@@ -180,9 +180,10 @@ InstanceEquivalences BlendEquivalences(const InstanceEquivalences& previous,
                                        size_t max_candidates) {
   assert(previous.finalized_ && fresh.finalized_);
   InstanceEquivalences out;
+  const std::vector<rdf::TermId>& previous_keys = previous.tables().left.keys;
+  const std::vector<rdf::TermId>& fresh_keys = fresh.tables().left.keys;
   std::vector<rdf::TermId> lefts;
-  std::ranges::set_union(previous.tables().left.keys,
-                         fresh.tables().left.keys, std::back_inserter(lefts));
+  std::ranges::set_union(previous_keys, fresh_keys, std::back_inserter(lefts));
   std::vector<Candidate> candidates;
   for (rdf::TermId left : lefts) {
     std::unordered_map<rdf::TermId, double> blended;

@@ -49,8 +49,7 @@ void ScoreOneRelation(rdf::RelId rel, const DirectionalContext& ctx,
                       const StoreFn& store_score) {
   const ontology::Ontology& source = *ctx.source;
   const ontology::Ontology& target = *ctx.target;
-  const rdf::RelId num_target =
-      static_cast<rdf::RelId>(target.num_relations());
+  const rdf::RelId num_target = static_cast<rdf::RelId>(target.num_relations());
 
   double denominator = 0.0;
   auto& numerator = scratch.numerator;

@@ -65,8 +65,7 @@ void SaveInstanceEquivalences(const InstanceEquivalences& equiv,
                               storage::SnapshotWriter& writer) {
   assert(equiv.finalized());
   const auto& rows = equiv.tables().left;
-  const std::vector<uint64_t> offsets(rows.offsets.begin(),
-                                      rows.offsets.end());
+  const std::vector<uint64_t> offsets(rows.offsets.begin(), rows.offsets.end());
   std::vector<rdf::TermId> others;
   std::vector<double> probs;
   others.reserve(rows.column.size());

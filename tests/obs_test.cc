@@ -271,10 +271,8 @@ TEST_F(ObsPipelineTest, TraceCoversEveryIterationPassAndShard) {
   EXPECT_EQ(CountOccurrences(json, "\"name\":\"instance.prepare\""), 3u);
   EXPECT_EQ(CountOccurrences(json, "\"name\":\"class.merge\""), 1u);
   // So is the serial bookkeeping after each pass; only a Realign seeds.
-  EXPECT_EQ(CountOccurrences(json, "\"name\":\"instance.bookkeeping\""),
-            3u);
-  EXPECT_EQ(CountOccurrences(json, "\"name\":\"relation.bookkeeping\""),
-            3u);
+  EXPECT_EQ(CountOccurrences(json, "\"name\":\"instance.bookkeeping\""), 3u);
+  EXPECT_EQ(CountOccurrences(json, "\"name\":\"relation.bookkeeping\""), 3u);
   EXPECT_EQ(CountOccurrences(json, "\"name\":\"realign.seed\""), 0u);
 }
 

@@ -159,8 +159,7 @@ TEST_F(SemiNaiveTest, PeriodTwoAttractorDrainsWithoutStopping) {
     const AlignmentResult result = aligner.Run();
     scored[semi_naive] =
         CounterValue(metrics.Snapshot(), "instance.entities_scored");
-    tables[semi_naive] =
-        ExactDump(result, *pair2->left, *pair2->right);
+    tables[semi_naive] = ExactDump(result, *pair2->left, *pair2->right);
     if (semi_naive) {
       EXPECT_EQ(result.converged_at, -1);  // period 2: no exact fixpoint
     }
