@@ -50,10 +50,14 @@ def load_baselines(doc):
 # probe_directory_vs_binary_fraction is the relation-directory access-path
 # bar: the per-term relation directory (best-of-N) must never be slower
 # than the old binary search over the full adjacency span it replaced.
+# obs_overhead_fraction is the observability bar: a traced, metered run
+# costs at most 10% more than a plain one (the median of ten interleaved
+# off/on pairs, which reads 0.00-0.05 on a 4-vCPU guest).
 OVERHEAD_CAPS = {
     "checkpoint_overhead_fraction": 0.05,
     "converged_iteration_fraction": 0.20,
     "delta_realign_fraction": 1.0 / 3.0,
+    "obs_overhead_fraction": 0.10,
     "probe_directory_vs_binary_fraction": 1.0,
 }
 

@@ -124,8 +124,8 @@ util::Status Session::LoadFromSnapshot(const std::string& path) {
   // the session only once the load succeeded.
   auto pool = std::make_unique<rdf::TermPool>();
   obs::Span span(trace_.get(), hooks().main_slot(), "io", "snapshot.load");
-  auto snapshot = ontology::LoadAlignmentSnapshot(path, pool.get(),
-                                                  options_.snapshot_load_mode);
+  auto snapshot = ontology::LoadAlignmentSnapshot(
+      path, pool.get(), options_.snapshot_load_mode, hooks());
   if (!snapshot.ok()) return Annotate(path, snapshot.status());
   pool_ = std::move(pool);
   left_.emplace(std::move(snapshot->left));
@@ -349,7 +349,10 @@ util::Status Session::RealignInternal(const std::string& realign_from,
         "no delta staged; call ApplyDelta before Realign");
   }
   std::atomic<bool> cancelled{false};
-  auto made = MakeAligner(callbacks, &cancelled);
+  auto made = [&] {
+    obs::Span span(trace_.get(), hooks().main_slot(), "io", "aligner.build");
+    return MakeAligner(callbacks, &cancelled);
+  }();
   if (!made.ok()) return made.status();
   core::Aligner& aligner = **made;
 
@@ -414,8 +417,12 @@ util::Status Session::RealignInternal(const std::string& realign_from,
   seed.relations = std::move(base.relations);
 
   result_.emplace(aligner.Realign(std::move(seed)));
-  return FinishRun(aligner, /*resumed=*/0,
-                   cancelled.load(std::memory_order_relaxed));
+  util::Status finished = FinishRun(
+      aligner, /*resumed=*/0, cancelled.load(std::memory_order_relaxed));
+  obs::Span span(trace_.get(), hooks().main_slot(), "io", "aligner.teardown");
+  made->reset();
+  base = core::AlignmentResult();
+  return finished;
 }
 
 util::Status Session::SaveResult(const std::string& path) const {

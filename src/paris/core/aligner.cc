@@ -2,6 +2,7 @@
 
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -197,6 +198,10 @@ AlignmentResult Aligner::RunInternal(AlignmentResult* checkpoint,
   // iteration records, and --trace-json therefore always agree.
   const size_t obs_slot = obs_.main_slot();
   obs::Span total_span(obs_.trace, obs_slot, "run", "align");
+  // Started after `run` ends and declared before the run's state, so it
+  // times that state's destruction: the passes with their per-instance
+  // slots, the matchers' indexes, the worker scratch.
+  std::optional<obs::Span> teardown_span;
   obs::MetricId m_changed = 0;
   obs::MetricId m_gained = 0;
   obs::MetricId m_dropped = 0;
@@ -632,6 +637,7 @@ AlignmentResult Aligner::RunInternal(AlignmentResult* checkpoint,
     obs_.metrics->Add(obs_.metrics->Counter("durability.io_retries"), obs_slot,
                       util::IoRetryCount() - io_retries_before);
   }
+  teardown_span.emplace(obs_.trace, obs_slot, "phase", "run.teardown");
   return result;
 }
 

@@ -26,8 +26,7 @@ util::StatusOr<ResultReader> ResultReader::Open(
     const std::string& path, storage::SnapshotLoadMode mode) {
   ResultReader out;
   util::Status status = storage::LoadSnapshotFile(
-      path, mode, kResultSnapshotMagic, kResultSnapshotVersion,
-      kResultSnapshotVersion, "result snapshot",
+      path, mode, kResultSnapshotFamily,
       [&](storage::SnapshotReader& reader, uint32_t /*file_version*/) {
         util::Status loaded = out.LoadSections(reader);
         if (loaded.ok()) out.mapping_ = reader.view_owner();

@@ -50,7 +50,8 @@ uint64_t OntologyPairFingerprint(const ontology::Ontology& left,
       AppendString(&buf, onto->RelationName(r));
     }
   }
-  return storage::FnvHash(buf.data(), buf.size());
+  return storage::ChecksumOf(storage::ChecksumKind::kFnv1a, buf.data(),
+                             buf.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -546,7 +547,8 @@ util::Status SaveAlignmentResult(const std::string& path,
         "result snapshot requires both ontologies to share one term pool");
   }
   util::AtomicFileWriter out(path);
-  storage::SnapshotWriter writer(out.stream());
+  storage::SnapshotWriter writer(
+      out.stream(), kResultSnapshotFamily.checksum(kResultSnapshotVersion));
   WriteResultSections(writer, out.stream(), ViewOf(result), left, right,
                       config, matcher);
   return out.Commit();
@@ -558,7 +560,8 @@ std::string SerializeAlignmentResult(const ResultSnapshotView& view,
                                      const AlignmentConfig& config,
                                      const std::string& matcher) {
   std::ostringstream out(std::ios::binary);
-  storage::SnapshotWriter writer(out);
+  storage::SnapshotWriter writer(
+      out, kResultSnapshotFamily.checksum(kResultSnapshotVersion));
   WriteResultSections(writer, out, view, left, right, config, matcher);
   return std::move(out).str();
 }
@@ -569,8 +572,7 @@ util::StatusOr<AlignmentResult> LoadAlignmentResult(
     const std::string& matcher, storage::SnapshotLoadMode mode) {
   std::optional<AlignmentResult> out;
   util::Status status = storage::LoadSnapshotFile(
-      path, mode, kResultSnapshotMagic, kResultSnapshotVersion,
-      kResultSnapshotVersion, "result snapshot",
+      path, mode, kResultSnapshotFamily,
       [&](storage::SnapshotReader& reader, uint32_t /*file_version*/) {
         auto result = LoadResultSections(reader, left, right, config, matcher);
         if (!result.ok()) return result.status();

@@ -20,10 +20,10 @@ namespace paris::core {
 // run (`paris_align --save-result/--resume-from`).
 //
 // File layout (storage::SnapshotWriter framing; scalars little-endian, POD
-// arrays 8-byte aligned, FNV-1a trailer):
+// arrays 8-byte aligned):
 //
 //   magic    "PARISRS\n"
-//   version  u32 (currently 2)
+//   version  u32 (currently 3; v2 has the same layout)
 //   key      ontology-pair fingerprint u64, matcher name, and every
 //            trajectory-shaping AlignmentConfig field
 //   run      iteration records (index, wall times, change fraction,
@@ -36,7 +36,8 @@ namespace paris::core {
 //            count, the completed shards' ids and opaque payloads, and —
 //            for a relation-pass cancel — the iteration's instance
 //            equivalences
-//   trailer  u64 FNV-1a checksum of every byte after the magic
+//   trailer  u64 checksum of every byte after the magic: the 4-lane hash
+//            since v3, FNV-1a in v2 (storage::ChecksumKind)
 //
 // Everything map-shaped is serialized in sorted key order, so identical
 // results produce byte-identical files. Per-iteration history snapshots
@@ -54,7 +55,11 @@ namespace paris::core {
 
 inline constexpr char kResultSnapshotMagic[8] = {'P', 'A', 'R', 'I',
                                                  'S', 'R', 'S', '\n'};
-inline constexpr uint32_t kResultSnapshotVersion = 2;
+// The write version; loaders accept v2 and v3.
+inline constexpr uint32_t kResultSnapshotVersion = 3;
+inline constexpr storage::SnapshotFamily kResultSnapshotFamily{
+    kResultSnapshotMagic, /*min_version=*/2, kResultSnapshotVersion,
+    /*lanes_since=*/3, "result snapshot"};
 
 // Cheap identity of the ontology pair a result belongs to: FNV-1a over the
 // shared pool size and both sides' name, triple/relation/instance/class

@@ -137,7 +137,8 @@ util::Status SaveAlignmentSnapshot(const std::string& path,
   // Staged through AtomicFileWriter: a crash (or write error) at any point
   // leaves the previous snapshot at `path` intact.
   util::AtomicFileWriter out(path);
-  storage::SnapshotWriter writer(out.stream());
+  storage::SnapshotWriter writer(
+      out.stream(), storage::kOntologySnapshotFamily.checksum(version));
   storage::WriteSnapshotHeader(writer, out.stream(), version);
   storage::SaveTermPool(left.pool(), writer);
   SaveOntologySection(left, writer, version);
@@ -153,12 +154,20 @@ namespace {
 // paths (the reader's mode steers copy vs. zero-copy column loads).
 util::StatusOr<AlignmentSnapshot> LoadSections(storage::SnapshotReader& reader,
                                                rdf::TermPool* pool,
-                                               uint32_t file_version) {
-  util::Status status = storage::LoadTermPool(reader, pool);
+                                               uint32_t file_version,
+                                               const obs::Hooks& hooks) {
+  util::Status status = [&] {
+    obs::Span span(hooks.trace, hooks.main_slot(), "io", "snapshot.terms");
+    return storage::LoadTermPool(reader, pool);
+  }();
   if (!status.ok()) return status;
-  auto left = LoadOntologySection(reader, pool, file_version);
+  const auto load_side = [&] {
+    obs::Span span(hooks.trace, hooks.main_slot(), "io", "snapshot.ontology");
+    return LoadOntologySection(reader, pool, file_version);
+  };
+  auto left = load_side();
   if (!left.ok()) return left.status();
-  auto right = LoadOntologySection(reader, pool, file_version);
+  auto right = load_side();
   if (!right.ok()) return right.status();
   return AlignmentSnapshot{std::move(left).value(), std::move(right).value()};
 }
@@ -166,17 +175,18 @@ util::StatusOr<AlignmentSnapshot> LoadSections(storage::SnapshotReader& reader,
 }  // namespace
 
 util::StatusOr<AlignmentSnapshot> LoadAlignmentSnapshot(
-    const std::string& path, rdf::TermPool* pool, SnapshotLoadMode mode) {
+    const std::string& path, rdf::TermPool* pool, SnapshotLoadMode mode,
+    obs::Hooks hooks) {
   std::optional<AlignmentSnapshot> out;
   util::Status status = storage::LoadSnapshotFile(
-      path, mode, storage::kSnapshotMagic, storage::kMinSnapshotVersion,
-      storage::kSnapshotVersion, "snapshot",
+      path, mode, storage::kOntologySnapshotFamily,
       [&](storage::SnapshotReader& reader, uint32_t file_version) {
-        auto sections = LoadSections(reader, pool, file_version);
+        auto sections = LoadSections(reader, pool, file_version, hooks);
         if (!sections.ok()) return sections.status();
         out.emplace(std::move(sections).value());
         return util::OkStatus();
-      });
+      },
+      hooks);
   if (!status.ok()) return status;
   return std::move(*out);
 }

@@ -3,6 +3,7 @@
 
 #include <string>
 
+#include "paris/obs/hooks.h"
 #include "paris/ontology/ontology.h"
 #include "paris/rdf/term.h"
 #include "paris/storage/snapshot.h"
@@ -23,7 +24,8 @@ namespace paris::ontology {
 // Both ontologies must share one term pool (the normal alignment setup).
 // `version` selects the format version to write: storage::kSnapshotVersion,
 // or the downlevel storage::kMinSnapshotVersion that compatibility tests
-// write. Any other version is InvalidArgument.
+// write. Any other version is InvalidArgument. The trailer is the hash
+// storage::kOntologySnapshotFamily assigns to that version.
 util::Status SaveAlignmentSnapshot(const std::string& path,
                                    const Ontology& left, const Ontology& right,
                                    uint32_t version = storage::kSnapshotVersion);
@@ -41,10 +43,12 @@ using SnapshotLoadMode = storage::SnapshotLoadMode;
 // are unspecified — use a fresh pool per attempt. Rejects files with a bad
 // magic/version, structurally invalid sections, or a checksum mismatch
 // (corruption / truncation); the mmap path verifies the whole-file checksum
-// *before* adopting any view (checksum-before-map).
+// *before* adopting any view (checksum-before-map). With `hooks` tracing,
+// the open records `snapshot.verify`, `snapshot.terms` and one
+// `snapshot.ontology` per side ("io" spans on the main slot).
 util::StatusOr<AlignmentSnapshot> LoadAlignmentSnapshot(
     const std::string& path, rdf::TermPool* pool,
-    SnapshotLoadMode mode = SnapshotLoadMode::kAuto);
+    SnapshotLoadMode mode = SnapshotLoadMode::kAuto, obs::Hooks hooks = {});
 
 }  // namespace paris::ontology
 

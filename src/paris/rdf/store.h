@@ -220,9 +220,10 @@ class TripleStore {
   // Serializes the relation registry, term dictionary, and packed index as
   // one section. Requires a finalized store; term ids reference the pool,
   // which must be saved alongside (storage::SaveTermPool). The no-argument
-  // form writes the current format version (v4: CSR, POS pairs and the
-  // relation directory); `version` == storage::kMinSnapshotVersion writes
-  // a downlevel v2 section (CSR/POS only). Those are the only two.
+  // form writes the current format version (v5, whose section is v4's:
+  // CSR, POS pairs and the relation directory); `version` ==
+  // storage::kMinSnapshotVersion writes a downlevel v2 section (CSR/POS
+  // only). Those are the only two.
   void SaveTo(storage::SnapshotWriter& writer) const;
   void SaveTo(storage::SnapshotWriter& writer, uint32_t version) const;
 
@@ -232,7 +233,7 @@ class TripleStore {
   // become zero-copy views into the mapping — only the dictionaries (the
   // relation-name map and the dense term array) and the derived object
   // column are materialized. `version` is the snapshot file's format
-  // version, 2 to 4: v3 and v4 sections carry the relation directory
+  // version, 2 to 5: v3 to v5 sections carry the relation directory
   // (adopted zero-copy), v2 sections get it rebuilt in memory. A v3
   // section also holds three sorted orderings of the triples after the
   // directory; they are read past, with their row counts checked against

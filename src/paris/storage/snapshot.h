@@ -13,6 +13,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "paris/obs/hooks.h"
 #include "paris/rdf/term.h"
 #include "paris/storage/column.h"
 #include "paris/util/status.h"
@@ -23,7 +24,7 @@ namespace paris::storage {
 //
 //   [8-byte magic "PARISNP\n"] [u32 format version]
 //   ... sections written by the layers above ...
-//   [u64 FNV-1a checksum of every byte after the magic]
+//   [u64 checksum of every byte after the magic]
 //
 // Scalars are little-endian; POD rows (facts, pairs, offsets) are written
 // raw, matching the in-memory layout of this library's fixed-width structs.
@@ -32,18 +33,73 @@ namespace paris::storage {
 // (zero-copy load) with naturally aligned loads. The checksum trailer
 // detects both corruption and truncation: the streaming reader hashes as it
 // consumes, the mmap reader verifies the whole file before adopting any
-// view.
+// view. Which hash the trailer holds is a function of the snapshot family
+// and of the version the file declares (`SnapshotFamily::checksum`).
+
+// The trailer hashes.
+enum class ChecksumKind : uint8_t {
+  // Byte-serial FNV-1a 64: ontology snapshots v2 to v4, result snapshots
+  // v2, and the ontology-pair fingerprint (core/result_snapshot.h).
+  kFnv1a,
+  // Four u64 lanes over 32-byte stripes (XXH64's rounds, seed 0): ontology
+  // snapshots since v5, result snapshots since v3.
+  kLanes,
+};
+
+// Streaming form of either trailer hash. Feeding the input in any split
+// gives the one-shot digest: the lane hash carries at most 31 bytes
+// between calls, and `Digest` folds the lanes, the total length and that
+// tail without consuming the state.
+class Checksum {
+ public:
+  explicit Checksum(ChecksumKind kind);
+
+  void Update(const void* data, size_t size);
+  uint64_t Digest() const;
+
+ private:
+  ChecksumKind kind_;
+  uint64_t fnv_;
+  uint64_t lanes_[4];
+  uint64_t length_ = 0;
+  size_t carry_size_ = 0;
+  unsigned char carry_[32] = {};
+};
+
+// One-shot digest of a contiguous byte range.
+uint64_t ChecksumOf(ChecksumKind kind, const void* data, size_t size);
+
+// What the shared load framing needs to know about a snapshot family.
+struct SnapshotFamily {
+  const char* magic;     // 8 bytes
+  uint32_t min_version;  // oldest version the loaders accept
+  uint32_t max_version;  // the current write version
+  uint32_t lanes_since;  // first version whose trailer is the lane hash
+  const char* kind;      // names the family in error messages
+
+  bool supports(uint32_t version) const {
+    return version >= min_version && version <= max_version;
+  }
+  ChecksumKind checksum(uint32_t version) const {
+    return version >= lanes_since ? ChecksumKind::kLanes
+                                  : ChecksumKind::kFnv1a;
+  }
+};
 
 inline constexpr char kSnapshotMagic[8] = {'P', 'A', 'R', 'I',
                                            'S', 'N', 'P', '\n'};
 // Current write version. v4 stores the CSR, the POS pairs and the per-term
-// relation directory, all adopted zero-copy. Loaders accept v2 to v4: a v2
-// file (CSR/POS only) gets its directory rebuilt in memory, and a v3 file's
-// three triple orderings, which v4 dropped, are read past.
-inline constexpr uint32_t kSnapshotVersion = 4;
+// relation directory, all adopted zero-copy; v5 keeps v4's layout under the
+// lane-hash trailer. Loaders accept v2 to v5: a v2 file (CSR/POS only) gets
+// its directory rebuilt in memory, and a v3 file's three triple orderings,
+// which v4 dropped, are read past.
+inline constexpr uint32_t kSnapshotVersion = 5;
 // Oldest ontology-snapshot version the loaders accept, and the only other
 // version the writer still produces (compatibility tests).
 inline constexpr uint32_t kMinSnapshotVersion = 2;
+inline constexpr SnapshotFamily kOntologySnapshotFamily{
+    kSnapshotMagic, kMinSnapshotVersion, kSnapshotVersion,
+    /*lanes_since=*/5, "snapshot"};
 
 // How a snapshot loader brings a file in. Shared by the ontology snapshots
 // (src/ontology/snapshot.h) and the alignment-result snapshots
@@ -60,14 +116,17 @@ enum class SnapshotLoadMode {
   kMmap,
 };
 
-// Streams sections to `out`, maintaining a running FNV-1a 64 hash of every
+// Streams sections to `out`, maintaining a running `checksum` hash of every
 // byte written (the magic is excluded by writing it before construction —
 // `WriteSnapshotHeader` handles this) plus the absolute file offset
 // (assuming the stream is preceded by the 8-byte magic), which anchors the
-// alignment padding of POD arrays.
+// alignment padding of POD arrays. `checksum` must be the one the family
+// assigns to the version the file declares.
 class SnapshotWriter {
  public:
-  explicit SnapshotWriter(std::ostream& out) : out_(out) {}
+  explicit SnapshotWriter(std::ostream& out,
+                          ChecksumKind checksum = ChecksumKind::kLanes)
+      : out_(out), checksum_(checksum) {}
 
   void WriteBytes(const void* data, size_t size);
   void WriteU8(uint8_t v);
@@ -91,21 +150,21 @@ class SnapshotWriter {
     WritePodSpan(std::span<const T>(v));
   }
 
-  uint64_t checksum() const { return checksum_; }
+  uint64_t checksum() const { return checksum_.Digest(); }
   bool ok() const;
 
  private:
   void AlignTo8();
 
   std::ostream& out_;
-  uint64_t checksum_ = 14695981039346656037ull;  // FNV-1a offset basis
-  uint64_t offset_ = sizeof(kSnapshotMagic);     // absolute file offset
+  Checksum checksum_;
+  uint64_t offset_ = sizeof(kSnapshotMagic);  // absolute file offset
 };
 
 // Mirrors SnapshotWriter. Two modes share one API:
 //
-//  * streaming (istream): bytes are consumed and hashed incrementally;
-//    callers compare `checksum()` against the trailer.
+//  * streaming (istream): bytes are consumed and hashed incrementally with
+//    the `checksum` hash; callers compare its digest against the trailer.
 //  * memory-backed (a whole snapshot file, typically mmap'ed): reads advance
 //    a cursor over the buffer, and `ReadPodView` hands out zero-copy spans
 //    into it. No incremental hashing — the caller verifies the whole-file
@@ -116,7 +175,9 @@ class SnapshotWriter {
 // Values read after a failure are zero.
 class SnapshotReader {
  public:
-  explicit SnapshotReader(std::istream& in) : in_(&in) {}
+  explicit SnapshotReader(std::istream& in,
+                          ChecksumKind checksum = ChecksumKind::kLanes)
+      : in_(&in), checksum_(checksum) {}
 
   // Memory-backed mode over a whole snapshot file (including the magic);
   // reading starts just after the magic. The caller must have verified the
@@ -133,6 +194,11 @@ class SnapshotReader {
   uint64_t ReadU64();
   double ReadDouble();
   std::string ReadString(uint64_t max_size = kMaxString);
+  // ReadString without a string per call: a view of the backing bytes in
+  // memory-backed mode, else of `*buffer`, which the read reuses. Valid
+  // until `buffer` is next written; empty after a failure.
+  std::string_view ReadStringView(std::string* buffer,
+                                  uint64_t max_size = kMaxString);
 
   // Reads a length-prefixed POD array. Grows the vector in bounded chunks so
   // a corrupt length field on a truncated file fails fast at the first short
@@ -199,12 +265,15 @@ class SnapshotReader {
   }
 
   // Reads the trailing checksum *without* hashing it, for comparison against
-  // `checksum()` of everything consumed so far.
+  // the digest of everything consumed so far (`running_checksum()`).
   uint64_t ReadChecksumTrailer();
 
   bool memory_backed() const { return data_ != nullptr; }
   // Absolute file offset of the cursor (memory-backed mode).
   uint64_t position() const { return pos_; }
+  // Bytes between the cursor and the end of the buffer (memory-backed
+  // mode; 0 when streaming).
+  uint64_t bytes_left() const { return memory_backed() ? size_ - pos_ : 0; }
 
   // The owner of the backing bytes in memory-backed mode (the file mapping);
   // structures that adopt zero-copy views hold a copy of this.
@@ -213,7 +282,8 @@ class SnapshotReader {
   }
   const std::shared_ptr<const void>& view_owner() const { return view_owner_; }
 
-  uint64_t checksum() const { return checksum_; }
+  // The running hash of everything consumed (streaming mode).
+  const Checksum& running_checksum() const { return checksum_; }
   bool ok() const { return !failed_; }
   void MarkFailed() { failed_ = true; }
 
@@ -228,7 +298,7 @@ class SnapshotReader {
   const std::byte* data_ = nullptr;  // memory-backed mode
   uint64_t size_ = 0;
   uint64_t pos_ = sizeof(kSnapshotMagic);  // absolute file offset
-  uint64_t checksum_ = 14695981039346656037ull;
+  Checksum checksum_{ChecksumKind::kLanes};
   bool failed_ = false;
   std::shared_ptr<const void> view_owner_;
 };
@@ -237,38 +307,42 @@ class SnapshotReader {
 // other families write their own magic + version through the writer).
 // `version` defaults to the current write version; passing
 // `kMinSnapshotVersion` writes a downlevel file (compatibility tests).
+// `writer` must hash with `kOntologySnapshotFamily.checksum(version)`.
 void WriteSnapshotHeader(SnapshotWriter& writer, std::ostream& raw,
                          uint32_t version = kSnapshotVersion);
 
 // Shared whole-file load framing for every snapshot family (ontology
 // snapshots, alignment-result snapshots): magic and version checks, section
-// loading via `load_sections`, checksum-trailer verification, and the
-// trailing-bytes check — with the stream / mmap / auto dispatch and the
+// loading via `load_sections`, checksum-trailer verification under the
+// hash `family` assigns to the file's version, and the trailing-bytes
+// check — with the stream / mmap / auto dispatch and the
 // checksum-before-map policy in one place, so the families cannot drift.
 //
-//  * kStream: sections are read and hashed incrementally; the trailer is
-//    compared afterwards.
-//  * kMmap: the whole-file FNV-1a trailer is verified over the mapping
-//    *before* the reader is constructed; `load_sections` may then adopt
-//    zero-copy views (the reader's view_owner pins the mapping).
+//  * kStream: the version is read first, and an unsupported one is
+//    rejected before any hashing; sections are then read and hashed
+//    incrementally, and the trailer is compared afterwards.
+//  * kMmap: the version is read (bounds-checked) to pick the hash, and the
+//    whole-file trailer is verified over the mapping *before* the reader
+//    is constructed; `load_sections` may then adopt zero-copy views (the
+//    reader's view_owner pins the mapping).
 //  * kAuto: try mmap, fall back to streaming only when the file cannot be
 //    mapped. Content errors never fall back.
 //
-// `kind` names the family in error messages ("snapshot", "result
-// snapshot"). Files whose version falls outside [min_version, max_version]
-// are rejected; the accepted file version is handed to `load_sections`,
-// which must consume everything between the version field and the trailer,
-// returning a non-OK status on structural errors.
+// A supported version with a bad trailer is DataLoss. An unsupported
+// version is InvalidArgument — in mmap mode only when the trailer verifies
+// under either hash, else DataLoss. The accepted file version is handed to
+// `load_sections`, which must consume everything between the version field
+// and the trailer, returning a non-OK status on structural errors.
+//
+// With `hooks` tracing, the trailer check is an "io" span `snapshot.verify`:
+// the whole-file hash in mmap mode, only the final comparison when
+// streaming (there the hash runs inside the section reads).
 util::Status LoadSnapshotFile(
-    const std::string& path, SnapshotLoadMode mode, const char (&magic)[8],
-    uint32_t min_version, uint32_t max_version, const char* kind,
+    const std::string& path, SnapshotLoadMode mode,
+    const SnapshotFamily& family,
     const std::function<util::Status(SnapshotReader&, uint32_t file_version)>&
-        load_sections);
-
-// FNV-1a 64 over one contiguous byte range, seeded with the offset basis —
-// the same hash the writer and the streaming reader maintain incrementally.
-// Used by the mmap load path to verify a whole file before adopting views.
-uint64_t FnvHash(const void* data, size_t size);
+        load_sections,
+    obs::Hooks hooks = {});
 
 // ---- Term pool section ----
 
@@ -276,7 +350,9 @@ uint64_t FnvHash(const void* data, size_t size);
 void SaveTermPool(const rdf::TermPool& pool, SnapshotWriter& writer);
 
 // Re-interns every term in id order; `pool` must be empty so the dense ids
-// reproduce exactly.
+// reproduce exactly. The pool is pre-sized from the count, capped by what
+// the bytes left can hold (memory-backed) or by a fixed chunk (streaming),
+// so a corrupt count cannot drive a giant allocation.
 util::Status LoadTermPool(SnapshotReader& reader, rdf::TermPool* pool);
 
 }  // namespace paris::storage

@@ -52,7 +52,8 @@ std::string MakeWrongVersionSnapshot(const char (&magic)[8]) {
   bytes.append(reinterpret_cast<const char*>(&bogus_version),
                sizeof(bogus_version));
   const uint64_t checksum =
-      storage::FnvHash(bytes.data() + sizeof(magic), sizeof(bogus_version));
+      storage::ChecksumOf(storage::ChecksumKind::kFnv1a,
+                          bytes.data() + sizeof(magic), sizeof(bogus_version));
   bytes.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
   return bytes;
 }

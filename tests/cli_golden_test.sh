@@ -96,6 +96,18 @@ check run_instances.tsv resumed_instances.tsv
 check run_relations.tsv resumed_relations.tsv
 check run_classes.tsv resumed_classes.tsv
 
+# --- files from the previous writers ---------------------------------------
+# legacy_pair_v4.snapshot (ontology snapshot v4) and legacy_k2_v2.result
+# (result snapshot v2, 2 iterations) are the restaurant pair at scale 0.2
+# as the FNV-1a-trailer writers wrote them; legacy_resumed_*.tsv are that
+# build's exports of the resumed run. Both load paths must reproduce them.
+for mode in stream mmap; do
+  run "legacy_${mode}_stdout.txt" "$ALIGN" --load-snapshot "$GOLDEN/legacy_pair_v4.snapshot" --resume-from "$GOLDEN/legacy_k2_v2.result" --snapshot-load-mode "$mode" --output "legacy_$mode"
+  for t in instances relations classes; do
+    check "legacy_resumed_${t}.tsv" "legacy_${mode}_${t}.tsv"
+  done
+done
+
 # --- checkpointing riding along must not perturb any output ---------------
 # (no new goldens: the checkpointed run is compared against the same files
 # as the plain run, so the default no-flag behavior stays pinned)

@@ -1,8 +1,9 @@
-// The packed store's read accessors are allocation-free
-// (storage/columnar_index.h). This binary replaces the global operator new
-// with a counting one and asserts that loops of FactsAbout / ObjectsOf /
-// Contains lookups make no heap allocation, on a freshly built store and on
-// one whose columns alias an mmap'ed snapshot.
+// The packed store's read accessors and the term pool's name lookup are
+// allocation-free (storage/columnar_index.h, rdf/term.h). This binary
+// replaces the global operator new with a counting one and asserts that
+// loops of FactsAbout / ObjectsOf / Contains lookups and of TermPool::Find
+// hits and misses (parisd's LOOKUP name path) make no heap allocation, on a
+// freshly built pair and on one loaded from an mmap'ed snapshot.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +18,7 @@
 #include "paris/ontology/ontology.h"
 #include "paris/ontology/snapshot.h"
 #include "paris/rdf/store.h"
+#include "paris/rdf/term.h"
 #include "paris/synth/profiles.h"
 
 namespace {
@@ -77,6 +79,28 @@ uint64_t AllocationsPerLookupLoop(const rdf::TripleStore& store,
   return g_allocations.load() - before;
 }
 
+// Heap allocations made by three rounds of TermPool::Find over every term:
+// a hit under its own kind, and a miss on a name one byte longer. The names
+// are copied before counting starts.
+uint64_t AllocationsPerFindLoop(const rdf::TermPool& pool,
+                                uint64_t* checksum) {
+  std::vector<std::string> misses;
+  misses.reserve(pool.size());
+  for (rdf::TermId id = 0; id < pool.size(); ++id) {
+    misses.push_back(std::string(pool.lexical(id)) + "~");
+  }
+  EXPECT_FALSE(misses.empty());
+  const uint64_t before = g_allocations.load();
+  for (int round = 0; round < 3; ++round) {
+    for (rdf::TermId id = 0; id < pool.size(); ++id) {
+      const auto hit = pool.Find(pool.lexical(id), pool.kind(id));
+      *checksum += hit.has_value() && *hit == id ? 1 : 0;
+      *checksum += pool.Find(misses[id], pool.kind(id)).has_value() ? 0 : 1;
+    }
+  }
+  return g_allocations.load() - before;
+}
+
 class LookupAllocTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -110,6 +134,13 @@ TEST_F(LookupAllocTest, BuiltStoreLookupsDoNotAllocate) {
   EXPECT_GT(checksum, 0u);
 }
 
+TEST_F(LookupAllocTest, BuiltPoolFindDoesNotAllocate) {
+  const rdf::TermPool& pool = pair_->left->pool();
+  uint64_t checksum = 0;
+  EXPECT_EQ(AllocationsPerFindLoop(pool, &checksum), 0u);
+  EXPECT_EQ(checksum, 3 * 2 * pool.size());
+}
+
 TEST_F(LookupAllocTest, MmapLoadedStoreLookupsDoNotAllocate) {
   const std::string path = ::testing::TempDir() + "/lookup_alloc.snap";
   ASSERT_TRUE(ontology::SaveAlignmentSnapshot(path, *pair_->left,
@@ -124,6 +155,9 @@ TEST_F(LookupAllocTest, MmapLoadedStoreLookupsDoNotAllocate) {
   EXPECT_EQ(AllocationsPerLookupLoop(loaded->left.store(), &checksum), 0u);
   EXPECT_EQ(AllocationsPerLookupLoop(loaded->right.store(), &checksum), 0u);
   EXPECT_GT(checksum, 0u);
+  checksum = 0;
+  EXPECT_EQ(AllocationsPerFindLoop(pool, &checksum), 0u);
+  EXPECT_EQ(checksum, 3 * 2 * pool.size());
   std::remove(path.c_str());
 }
 

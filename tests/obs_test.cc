@@ -378,6 +378,46 @@ TEST_F(ObsPipelineTest, SessionExportsTraceAndMetrics) {
   std::remove(snapshot_path.c_str());
 }
 
+// The snapshot open and a realign sit under named spans: the trailer check,
+// the term pool and one section per side under `snapshot.load`, in both
+// load modes; the aligner's construction and teardown around a Realign,
+// and the destruction of each run's state after its `align` span.
+TEST_F(ObsPipelineTest, SessionSpansCoverTheOpenAndTheRealign) {
+  const std::string snapshot_path = ::testing::TempDir() + "/obs_open.snap";
+  ASSERT_TRUE(
+      ontology::SaveAlignmentSnapshot(snapshot_path, left(), right()).ok());
+  std::vector<rdf::ParsedTriple> delta(1);
+  delta[0].subject = std::string(left().pool().lexical(left().instances()[0]));
+  delta[0].predicate = left().RelationName(1);
+  delta[0].object = std::string(left().pool().lexical(left().instances()[1]));
+  for (const auto mode : {ontology::SnapshotLoadMode::kStream,
+                          ontology::SnapshotLoadMode::kMmap}) {
+    api::Session session(api::Session::Options()
+                             .set_snapshot_load_mode(mode)
+                             .set_trace(true));
+    ASSERT_TRUE(session.LoadFromSnapshot(snapshot_path).ok());
+    ASSERT_TRUE(session.Align().ok());
+    ASSERT_TRUE(
+        session.ApplyDelta(api::Session::DeltaSide::kLeft, delta).ok());
+    ASSERT_TRUE(session.Realign().ok());
+    std::ostringstream out;
+    ASSERT_TRUE(session.WriteTrace(out).ok());
+    const std::string json = out.str();
+    const auto count = [&json](const std::string& name) {
+      return CountOccurrences(json, "\"name\":\"" + name + "\"");
+    };
+    EXPECT_EQ(count("snapshot.load"), 1u);
+    EXPECT_EQ(count("snapshot.verify"), 1u);
+    EXPECT_EQ(count("snapshot.terms"), 1u);
+    EXPECT_EQ(count("snapshot.ontology"), 2u);
+    EXPECT_EQ(count("aligner.build"), 1u);
+    EXPECT_EQ(count("aligner.teardown"), 1u);
+    EXPECT_EQ(count("align"), 2u);  // Align, then Realign
+    EXPECT_EQ(count("run.teardown"), 2u);
+  }
+  std::remove(snapshot_path.c_str());
+}
+
 TEST(ObsSessionTest, ObservabilityAccessorsRequireOptIn) {
   api::Session session;  // defaults: trace/metrics off
   std::ostringstream out;

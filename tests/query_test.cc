@@ -519,8 +519,9 @@ TEST_F(QuerySnapshotTest, V4RoundTripsStreamAndMmap) {
   BuildPair();
   const std::string path = TempPath("query_v4.snap");
   ASSERT_TRUE(ontology::SaveAlignmentSnapshot(path, *onto_, *right_).ok());
+  // The writer declares v5: v4's layout under the lane-hash trailer.
   EXPECT_EQ(ReadFile(path).substr(8, 4),
-            std::string("\x04\x00\x00\x00", 4));
+            std::string("\x05\x00\x00\x00", 4));
   ExpectLoadsAsPair(path);
 
   // Delta ingestion detaches the zero-copy views, and queries see the

@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <random>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "paris/rdf/ntriples.h"
 #include "paris/rdf/store.h"
@@ -55,6 +62,97 @@ TEST(TermPoolTest, ManyTermsKeepLexicalStable) {
     EXPECT_EQ(pool.lexical(ids[static_cast<size_t>(i)]),
               "term" + std::to_string(i));
   }
+}
+
+// The flat pool against a std::map reference: seeded random Intern / Find
+// sequences through a dozen table growths, over names shared by both kinds,
+// the empty string, names with embedded NUL bytes and names longer than one
+// 64 KiB lexical block. Ids must be dense in first-intern order.
+TEST(TermPoolTest, MatchesMapReferenceThroughGrowth) {
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    std::mt19937_64 rng(seed);
+    const auto random_name = [&rng]() -> std::string {
+      switch (rng() % 16) {
+        case 0:
+          return "";
+        case 1:
+          return std::string(1 + rng() % 3, '\0') + std::to_string(rng() % 50);
+        case 2:
+          return std::string((64 << 10) + 1 + rng() % 4, 'x');
+        default:
+          return "t" + std::to_string(rng() % 20000);
+      }
+    };
+    TermPool pool;
+    std::map<std::pair<TermKind, std::string>, TermId> reference;
+    std::vector<std::pair<TermKind, std::string>> first_interned;
+    for (int step = 0; step < 60000; ++step) {
+      const TermKind kind = rng() % 2 == 0 ? TermKind::kIri : TermKind::kLiteral;
+      std::string name = random_name();
+      const auto it = reference.find({kind, name});
+      if (rng() % 3 == 0) {
+        const auto found = pool.Find(name, kind);
+        ASSERT_EQ(found.has_value(), it != reference.end())
+            << "seed " << seed << " step " << step;
+        if (found.has_value()) {
+          EXPECT_EQ(*found, it->second);
+        }
+        continue;
+      }
+      const TermId id = pool.Intern(name, kind);
+      if (it != reference.end()) {
+        ASSERT_EQ(id, it->second) << "seed " << seed << " step " << step;
+      } else {
+        ASSERT_EQ(id, first_interned.size()) << "seed " << seed;
+        reference.emplace(std::make_pair(kind, name), id);
+        first_interned.emplace_back(kind, std::move(name));
+      }
+    }
+    ASSERT_EQ(pool.size(), first_interned.size());
+    ASSERT_GT(pool.size(), 20000u);  // the table grew from 16 to 2^16 slots
+    for (TermId id = 0; id < pool.size(); ++id) {
+      const auto& [kind, name] = first_interned[id];
+      EXPECT_EQ(pool.kind(id), kind);
+      EXPECT_EQ(pool.lexical(id), name);
+      EXPECT_EQ(pool.Find(name, kind), std::optional<TermId>(id));
+    }
+    EXPECT_FALSE(pool.Find("never interned", TermKind::kIri).has_value());
+  }
+}
+
+TEST(TermPoolTest, EarlyViewsSurviveLaterInterning) {
+  TermPool pool;
+  std::vector<std::string> names;
+  std::vector<std::string_view> views;
+  for (int i = 0; i < 100; ++i) {
+    names.push_back("e" + std::to_string(i));  // short: inline in a string
+    views.push_back(pool.lexical(pool.InternIri(names.back())));
+  }
+  names.push_back(std::string(100000, 'L'));
+  views.push_back(pool.lexical(pool.InternLiteral(names.back())));
+  for (int i = 0; i < 100000; ++i) {
+    pool.InternLiteral("later" + std::to_string(i));
+  }
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(views[i], names[i]);
+    EXPECT_EQ(views[i].data(), pool.lexical(static_cast<TermId>(i)).data());
+  }
+}
+
+TEST(TermPoolTest, InternsViewsOfItsOwnBytes) {
+  TermPool pool;
+  constexpr TermId kIris = 1000;
+  for (TermId i = 0; i < kIris; ++i) pool.InternIri("iri" + std::to_string(i));
+  // Each intern may grow the table and the per-id arrays while its argument
+  // views the pool's own lexical bytes.
+  for (TermId id = 0; id < kIris; ++id) {
+    const TermId literal = pool.InternLiteral(pool.lexical(id));
+    EXPECT_EQ(literal, kIris + id);
+    EXPECT_EQ(pool.lexical(literal), pool.lexical(id));
+    EXPECT_TRUE(pool.IsLiteral(literal));
+  }
+  EXPECT_EQ(pool.InternIri(pool.lexical(kIris + 5)), 5u);
+  EXPECT_EQ(pool.size(), 2 * kIris);
 }
 
 // ---------------------------------------------------------------------------

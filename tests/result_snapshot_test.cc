@@ -10,10 +10,13 @@
 #include "exact_dump.h"
 #include "paris/core/aligner.h"
 #include "paris/core/result_io.h"
+#include "paris/core/result_reader.h"
 #include "paris/core/result_snapshot.h"
 #include "paris/ontology/ontology.h"
+#include "paris/ontology/snapshot.h"
 #include "paris/storage/snapshot.h"
 #include "paris/synth/profiles.h"
+#include "snapshot_reseal.h"
 
 namespace paris {
 namespace {
@@ -204,18 +207,10 @@ class ResultSnapshotCorruptionTest : public ResultSnapshotTest {
 
   void TearDown() override { std::remove(path_.c_str()); }
 
-  // Rewrites the FNV-1a trailer so a deliberate mutation is *not* caught by
-  // the checksum — for testing the checks that must fire before/after it.
+  // Rewrites the trailer so a deliberate mutation is *not* caught by the
+  // checksum — for testing the checks that must fire before/after it.
   static std::string WithFixedTrailer(std::string bytes) {
-    const size_t body = bytes.size() - sizeof(storage::kSnapshotMagic) -
-                        sizeof(uint64_t);
-    const uint64_t checksum =
-        storage::FnvHash(bytes.data() + sizeof(storage::kSnapshotMagic), body);
-    for (int i = 0; i < 8; ++i) {
-      bytes[bytes.size() - 8 + static_cast<size_t>(i)] =
-          static_cast<char>(checksum >> (8 * i));
-    }
-    return bytes;
+    return testutil::Reseal(std::move(bytes), core::kResultSnapshotFamily);
   }
 
   // Damage must be classified, not just rejected: kInvalidArgument means
@@ -366,6 +361,32 @@ TEST_F(ResultSnapshotCorruptionTest, RejectsDifferentRunSetup) {
                                           config_, "identity");
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), util::StatusCode::kFailedPrecondition);
+}
+
+// tests/golden/legacy_k2_v2.result is a 2-iteration run over
+// legacy_pair_v4.snapshot as the v2 writer (FNV-1a trailer) wrote it. Both
+// load paths open it, and its stored pair fingerprint still matches the
+// pair: the fingerprint hash did not change with the trailer's.
+// (cli_golden_test resumes from it and compares the exports.)
+TEST(LegacyResultSnapshotTest, V2FromTheOldWriterOpens) {
+  const std::string golden = std::string(PARIS_GOLDEN_DIR);
+  const std::string bytes = ReadFile(golden + "/legacy_k2_v2.result");
+  ASSERT_EQ(bytes.size(), 6205u);
+  ASSERT_EQ(bytes.substr(8, 4), std::string("\x02\x00\x00\x00", 4));
+  rdf::TermPool pool;
+  auto pair =
+      ontology::LoadAlignmentSnapshot(golden + "/legacy_pair_v4.snapshot",
+                                      &pool);
+  ASSERT_TRUE(pair.ok()) << pair.status().ToString();
+  for (const auto mode : {SnapshotLoadMode::kStream, SnapshotLoadMode::kMmap}) {
+    auto reader = core::ResultReader::Open(golden + "/legacy_k2_v2.result",
+                                           mode);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    EXPECT_EQ(reader->stats().num_iterations, 2u);
+    EXPECT_EQ(reader->stats().matcher, "identity");
+    EXPECT_EQ(reader->stats().pair_fingerprint,
+              core::OntologyPairFingerprint(pair->left, pair->right));
+  }
 }
 
 }  // namespace

@@ -4,10 +4,12 @@
 #include <cstdio>
 #include <fstream>
 #include <optional>
+#include <random>
 #include <ranges>
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "paris/core/aligner.h"
@@ -20,6 +22,7 @@
 #include "paris/storage/snapshot.h"
 #include "paris/util/status.h"
 #include "paris/util/thread_pool.h"
+#include "snapshot_reseal.h"
 
 namespace paris {
 namespace {
@@ -288,6 +291,13 @@ class AlignmentSnapshotTest : public ::testing::Test {
  protected:
   static std::string TempPath(const std::string& name) {
     return ::testing::TempDir() + "/" + name;
+  }
+
+  static std::string ReadFile(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
   }
 
   // Two small ontologies over one pool, exercising facts, literals, types,
@@ -589,22 +599,6 @@ TEST_F(AlignmentSnapshotTest, RejectsInconsistentDictionariesBehindChecksum) {
   ASSERT_GE(left->instances().size(), 2u);
   const auto pool_size = static_cast<TermId>(pool.size());
 
-  auto read_file = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-  };
-  // Rewrites the FNV-1a trailer over the mutated body.
-  auto reseal = [](std::string bytes) {
-    const size_t magic = sizeof(storage::kSnapshotMagic);
-    const uint64_t checksum = storage::FnvHash(
-        bytes.data() + magic, bytes.size() - magic - sizeof(uint64_t));
-    for (size_t i = 0; i < 8; ++i) {
-      bytes[bytes.size() - 8 + i] = static_cast<char>(checksum >> (8 * i));
-    }
-    return bytes;
-  };
   // File offset of the first row of the POD array whose u64 count sits at
   // `count_at`: rows follow the count after zero padding to 8 bytes.
   auto rows_at = [](uint64_t count_at) {
@@ -617,7 +611,7 @@ TEST_F(AlignmentSnapshotTest, RejectsInconsistentDictionariesBehindChecksum) {
        {storage::kMinSnapshotVersion, storage::kSnapshotVersion}) {
     ASSERT_TRUE(
         ontology::SaveAlignmentSnapshot(path, *left, *right, version).ok());
-    const std::string bytes = read_file(path);
+    const std::string bytes = ReadFile(path);
 
     // Walk the well-formed file up to the left ontology's store dictionary,
     // then past its store section to its instance list.
@@ -665,7 +659,8 @@ TEST_F(AlignmentSnapshotTest, RejectsInconsistentDictionariesBehindChecksum) {
       ASSERT_NE(mutated, bytes) << c.label;
       {
         std::ofstream out(bad_path, std::ios::binary | std::ios::trunc);
-        out << reseal(std::move(mutated));
+        out << testutil::Reseal(std::move(mutated),
+                                storage::kOntologySnapshotFamily);
       }
       for (const auto mode : {ontology::SnapshotLoadMode::kStream,
                               ontology::SnapshotLoadMode::kMmap}) {
@@ -689,6 +684,214 @@ TEST_F(AlignmentSnapshotTest, RejectsInconsistentDictionariesBehindChecksum) {
 // End to end: the aligner must produce identical equivalence tables whether
 // the ontologies were freshly built, streamed, or mmap'ed — at any thread
 // count.
+// ---------------------------------------------------------------------------
+// Trailer checksums, versions and the term pool section
+// ---------------------------------------------------------------------------
+
+TEST(ChecksumTest, EverySplitGivesTheOneShotDigest) {
+  std::mt19937_64 rng(20);
+  for (size_t n = 0; n <= 300; ++n) {
+    std::string bytes(n, '\0');
+    for (char& c : bytes) c = static_cast<char>(rng());
+    for (const auto kind :
+         {storage::ChecksumKind::kFnv1a, storage::ChecksumKind::kLanes}) {
+      const uint64_t one_shot = storage::ChecksumOf(kind, bytes.data(), n);
+      for (size_t split = 0; split <= n; ++split) {
+        storage::Checksum two(kind);
+        two.Update(bytes.data(), split);
+        two.Update(bytes.data() + split, n - split);
+        ASSERT_EQ(two.Digest(), one_shot) << "n=" << n << " split=" << split;
+      }
+      // Odd-sized pieces carry partial stripes across many calls.
+      storage::Checksum pieces(kind);
+      for (size_t at = 0; at < n; at += 7) {
+        pieces.Update(bytes.data() + at, std::min<size_t>(7, n - at));
+      }
+      ASSERT_EQ(pieces.Digest(), one_shot) << "n=" << n;
+    }
+  }
+}
+
+// Files written today must stay verifiable, so the digests are constants.
+// The lane hash equals XXH64 with seed 0: the first two lane values are
+// XXH64's published vectors, and FNV-1a("a") is FNV's.
+TEST(ChecksumTest, DigestsArePinned) {
+  using storage::ChecksumKind;
+  using storage::ChecksumOf;
+  EXPECT_EQ(ChecksumOf(ChecksumKind::kLanes, "", 0), 0xef46db3751d8e999ull);
+  const std::string_view sentence = "Nobody inspects the spammish repetition";
+  EXPECT_EQ(ChecksumOf(ChecksumKind::kLanes, sentence.data(), sentence.size()),
+            0xfbcea83c8a378bf1ull);
+  // 109 bytes: three stripes, then 8-, 4- and 1-byte tail steps.
+  std::string bytes(109, '\0');
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<char>(i * 7 + 3);
+  }
+  EXPECT_EQ(ChecksumOf(ChecksumKind::kLanes, bytes.data(), bytes.size()),
+            0xdcc4e5f52f4c6691ull);
+  EXPECT_EQ(ChecksumOf(ChecksumKind::kFnv1a, "a", 1), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(ChecksumOf(ChecksumKind::kFnv1a, bytes.data(), bytes.size()),
+            0x217e366dee6a093aull);
+}
+
+TEST(ChecksumTest, VersionsPickTheirHash) {
+  const storage::SnapshotFamily& family = storage::kOntologySnapshotFamily;
+  for (uint32_t version = 2; version <= 4; ++version) {
+    EXPECT_EQ(family.checksum(version), storage::ChecksumKind::kFnv1a);
+  }
+  EXPECT_EQ(family.checksum(5), storage::ChecksumKind::kLanes);
+  EXPECT_EQ(storage::kSnapshotVersion, 5u);
+}
+
+// tests/golden/legacy_pair_v4.snapshot is the restaurant pair at scale 0.2
+// as the v4 writer (FNV-1a trailer) wrote it. It loads in both modes, and
+// re-saving it writes the same bytes except the version and the trailer.
+TEST_F(AlignmentSnapshotTest, LegacyV4SnapshotLoadsAndResavesAsV5) {
+  const std::string golden =
+      ReadFile(std::string(PARIS_GOLDEN_DIR) + "/legacy_pair_v4.snapshot");
+  ASSERT_EQ(golden.size(), 44628u);
+  ASSERT_EQ(golden.substr(8, 4), std::string("\x04\x00\x00\x00", 4));
+  const std::string path = TempPath("legacy_resaved.snap");
+  for (const auto mode : {ontology::SnapshotLoadMode::kStream,
+                          ontology::SnapshotLoadMode::kMmap}) {
+    rdf::TermPool pool;
+    auto loaded = ontology::LoadAlignmentSnapshot(
+        std::string(PARIS_GOLDEN_DIR) + "/legacy_pair_v4.snapshot", &pool,
+        mode);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ASSERT_TRUE(
+        ontology::SaveAlignmentSnapshot(path, loaded->left, loaded->right)
+            .ok());
+    const std::string resaved = ReadFile(path);
+    ASSERT_EQ(resaved.size(), golden.size());
+    EXPECT_EQ(resaved.substr(8, 4), std::string("\x05\x00\x00\x00", 4));
+    EXPECT_EQ(resaved.substr(0, 8), golden.substr(0, 8));
+    EXPECT_TRUE(resaved.compare(12, resaved.size() - 20, golden, 12,
+                                golden.size() - 20) == 0);
+    EXPECT_NE(resaved.substr(resaved.size() - 8),
+              golden.substr(golden.size() - 8));
+    rdf::TermPool again;
+    EXPECT_TRUE(ontology::LoadAlignmentSnapshot(path, &again, mode).ok());
+  }
+  std::remove(path.c_str());
+}
+
+// The term count (the u64 right after the version) sizes the pool's
+// reservation. With the trailer resealed, a count no u32 id can reach and
+// a count past the terms present are DataLoss, and neither may drive an
+// allocation sized by the count (the ASan job would report one).
+TEST_F(AlignmentSnapshotTest, CorruptTermCountsAreDataLoss) {
+  rdf::TermPool pool;
+  std::optional<ontology::Ontology> left;
+  std::optional<ontology::Ontology> right;
+  Build(&pool, &left, &right);
+  const std::string path = TempPath("term_count_base.snap");
+  const std::string bad_path = TempPath("term_count_bad.snap");
+  for (uint32_t version :
+       {storage::kMinSnapshotVersion, storage::kSnapshotVersion}) {
+    ASSERT_TRUE(
+        ontology::SaveAlignmentSnapshot(path, *left, *right, version).ok());
+    const std::string bytes = ReadFile(path);
+    for (const uint64_t count :
+         {uint64_t{1} << 40, uint64_t{rdf::kNullTerm},
+          uint64_t{pool.size()} + 1}) {
+      std::string mutated = bytes;
+      for (size_t i = 0; i < 8; ++i) {
+        mutated[12 + i] = static_cast<char>(count >> (8 * i));
+      }
+      {
+        std::ofstream out(bad_path, std::ios::binary | std::ios::trunc);
+        out << testutil::Reseal(std::move(mutated),
+                                storage::kOntologySnapshotFamily);
+      }
+      for (const auto mode : {ontology::SnapshotLoadMode::kStream,
+                              ontology::SnapshotLoadMode::kMmap}) {
+        rdf::TermPool fresh;
+        auto loaded = ontology::LoadAlignmentSnapshot(bad_path, &fresh, mode);
+        const std::string where =
+            "count " + std::to_string(count) + ", v" +
+            std::to_string(version) +
+            (mode == ontology::SnapshotLoadMode::kMmap ? ", mmap" : ", stream");
+        ASSERT_FALSE(loaded.ok()) << where;
+        EXPECT_EQ(loaded.status().code(), util::StatusCode::kDataLoss)
+            << where << ": " << loaded.status().ToString();
+      }
+    }
+  }
+  std::remove(bad_path.c_str());
+  std::remove(path.c_str());
+}
+
+// A supported version whose trailer does not verify under its own hash is
+// DataLoss; an unsupported version is InvalidArgument when the trailer
+// verifies under either hash (mmap), or before any hashing (stream).
+TEST_F(AlignmentSnapshotTest, VersionAndTrailerClassification) {
+  rdf::TermPool pool;
+  std::optional<ontology::Ontology> left;
+  std::optional<ontology::Ontology> right;
+  Build(&pool, &left, &right);
+  const std::string path = TempPath("version_base.snap");
+  const std::string bad_path = TempPath("version_bad.snap");
+  ASSERT_TRUE(ontology::SaveAlignmentSnapshot(path, *left, *right).ok());
+  const std::string v5 = ReadFile(path);
+  const auto with_version = [](std::string bytes, uint32_t version) {
+    for (size_t i = 0; i < 4; ++i) {
+      bytes[8 + i] = static_cast<char>(version >> (8 * i));
+    }
+    return bytes;
+  };
+  const auto with_trailer = [](std::string bytes, storage::ChecksumKind kind) {
+    const uint64_t checksum =
+        storage::ChecksumOf(kind, bytes.data() + 8, bytes.size() - 16);
+    for (size_t i = 0; i < 8; ++i) {
+      bytes[bytes.size() - 8 + i] = static_cast<char>(checksum >> (8 * i));
+    }
+    return bytes;
+  };
+  using storage::ChecksumKind;
+  using util::StatusCode;
+  struct Case {
+    const char* label;
+    std::string bytes;
+    StatusCode stream;
+    StatusCode mmap;
+  };
+  const Case cases[] = {
+      {"v5 as written", v5, StatusCode::kOk, StatusCode::kOk},
+      {"v5 layout declared v4, lane trailer", with_version(v5, 4),
+       StatusCode::kDataLoss, StatusCode::kDataLoss},
+      {"v5 layout declared v4, FNV-1a trailer",
+       with_trailer(with_version(v5, 4), ChecksumKind::kFnv1a),
+       StatusCode::kOk, StatusCode::kOk},
+      {"v5 with an FNV-1a trailer", with_trailer(v5, ChecksumKind::kFnv1a),
+       StatusCode::kDataLoss, StatusCode::kDataLoss},
+      {"v6, lane trailer", with_trailer(with_version(v5, 6), ChecksumKind::kLanes),
+       StatusCode::kInvalidArgument, StatusCode::kInvalidArgument},
+      {"v6, FNV-1a trailer",
+       with_trailer(with_version(v5, 6), ChecksumKind::kFnv1a),
+       StatusCode::kInvalidArgument, StatusCode::kInvalidArgument},
+      {"v6, stale trailer", with_version(v5, 6), StatusCode::kInvalidArgument,
+       StatusCode::kDataLoss},
+  };
+  for (const Case& c : cases) {
+    {
+      std::ofstream out(bad_path, std::ios::binary | std::ios::trunc);
+      out << c.bytes;
+    }
+    for (const auto mode : {ontology::SnapshotLoadMode::kStream,
+                            ontology::SnapshotLoadMode::kMmap}) {
+      rdf::TermPool fresh;
+      auto loaded = ontology::LoadAlignmentSnapshot(bad_path, &fresh, mode);
+      const bool mmap = mode == ontology::SnapshotLoadMode::kMmap;
+      EXPECT_EQ(loaded.status().code(), mmap ? c.mmap : c.stream)
+          << c.label << (mmap ? ", mmap: " : ", stream: ")
+          << loaded.status().ToString();
+    }
+  }
+  std::remove(bad_path.c_str());
+  std::remove(path.c_str());
+}
+
 TEST_F(AlignmentSnapshotTest, AlignmentIdenticalAcrossLoadPathsAndThreads) {
   rdf::TermPool pool;
   std::optional<ontology::Ontology> left;
