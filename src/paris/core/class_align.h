@@ -1,6 +1,7 @@
 #ifndef PARIS_CORE_CLASS_ALIGN_H_
 #define PARIS_CORE_CLASS_ALIGN_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,6 +52,10 @@ class ClassPass final : public Pass {
   DirectionalContext l2r_;
   DirectionalContext r2l_;
   std::vector<std::vector<ClassAlignmentEntry>> outputs_;  // one per shard
+  // TermId → position in classes(), per side (UINT32_MAX where the id is
+  // not a class), rebuilt in Prepare: the dense index of the scratch slots.
+  std::vector<uint32_t> left_class_position_;
+  std::vector<uint32_t> right_class_position_;
   // The per-worker scratch slots, bound in Prepare (RunShard must not call
   // ScratchSlots itself — it may allocate).
   std::vector<ClassShardScratch>* scratch_ = nullptr;

@@ -2,99 +2,153 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "paris/core/stamped_slots.h"
 #include "paris/core/worklist.h"
 
 namespace paris::core {
 
-// Per-fact expansion of the second argument to its right-ontology
-// equivalents, computed once per instance and shared between the positive-
-// and negative-evidence passes. In negative-evidence mode `equivalents` is
-// sorted by term id so the per-candidate-fact lookup in
-// NegativeEvidenceFactor is a binary search instead of a linear scan.
-// Namespace-scope (not anonymous) because InstanceShardScratch embeds it.
+// One expanded left fact r(x, y): its equivalents y' are
+// `equivalents[begin, end)` of the worker's flat column, in expansion
+// order, or sorted by term id in negative-evidence mode, so that the
+// per-candidate lookup in NegativeEvidenceFactor is a binary search. The
+// plan step adds the fact's recorded runs, which end at `runs_end` in the
+// worker's run list, and `keep`, the product of their factors.
 struct ExpandedFact {
-  rdf::RelId rel = rdf::kNullRel;  // r with r(x, y), signed
-  std::vector<Candidate> equivalents;  // y' with Pr(y ≡ y') > 0
+  rdf::RelId rel = rdf::kNullRel;  // r, signed
+  uint32_t begin = 0;
+  uint32_t end = 0;
+  uint32_t runs_end = 0;
+  double keep = 1.0;
+};
+
+// A run of one expanded neighbour y': its facts (rt, x') for one adjacency
+// relation rt, all of which receive the same Eq. (13) factor.
+struct NeighborRun {
+  const rdf::Fact* begin;
+  const rdf::Fact* end;
+  double factor;
 };
 
 // Per-worker scratch, owned by the IterationContext so the buffers'
-// capacity survives across shards and iterations.
+// capacity survives across shards and iterations. Namespace-scope (not
+// anonymous) because instance_align.h forward-declares it.
 struct InstanceShardScratch {
-  std::vector<ExpandedFact> expanded;
-
+  std::vector<ExpandedFact> facts;
+  std::vector<Candidate> equivalents;
+  std::vector<NeighborRun> runs;
   // The positive-evidence accumulator of the current left instance x: the
   // running product of Eq. 13's factors per candidate x', indexed by x''s
-  // position in right.instances(). A slot is live for x only while its
-  // stamp equals `epoch`, which advances once per instance, so moving on
-  // to the next x costs an increment instead of a clear. `touched` lists
-  // x's live positions in first-touch order; nothing downstream depends on
-  // that order, because the candidates are sorted by a total order.
-  struct Slot {
-    double product = 1.0;
-    uint32_t stamp = 0;
-  };
-  std::vector<Slot> slots;
-  std::vector<uint32_t> touched;
-  uint32_t epoch = 0;
-
-  // Makes every slot dead; call before accumulating a new instance.
-  void NextInstance() {
-    touched.clear();
-    if (++epoch == 0) {  // wrapped: a stale stamp could now read as live
-      for (Slot& slot : slots) slot.stamp = 0;
-      epoch = 1;
-    }
-  }
-
-  void Multiply(uint32_t position, double factor) {
-    Slot& slot = slots[position];
-    if (slot.stamp != epoch) {
-      slot.stamp = epoch;
-      slot.product = factor;  // == 1.0 * factor, exactly
-      touched.push_back(position);
-    } else {
-      slot.product *= factor;
-    }
-  }
+  // position in right.instances().
+  StampedSlots products;
+  // x's surviving candidates, copied into its result slot at exact size.
+  std::vector<Candidate> candidates;
 };
 
 namespace {
 
-// Computes the positive-evidence product of Eq. (13) for every candidate x'
-// of one left instance into `scratch`'s accumulator:
-//   ∏ (1 - Pr(r'⊆r)·fun⁻¹(r)·Pr(y≡y')) (1 - Pr(r⊆r')·fun⁻¹(r')·Pr(y≡y')).
-// No hashing: the neighbour's adjacency, its instance position and the
-// pair's coefficients are dense lookups. Returns the number of neighbour
-// facts examined.
-uint64_t AccumulatePositiveEvidence(
-    const std::vector<ExpandedFact>& facts, const ontology::Ontology& right,
-    const FactorCoefficientTable& coefficients, size_t max_neighbor_fanout,
-    InstanceShardScratch* scratch) {
-  uint64_t visited = 0;
-  for (const ExpandedFact& ef : facts) {
+// The first fact k after which no new key can reach τ: keys first touched
+// at facts ≥ k are not created. Any key's product over facts ≥ k is at
+// least Ŝ_k = ∏_{j≥k} keep_j, so its score stays below 1 − Ŝ_k; creation
+// closes at the first k where 1 − Ŝ_k + ε < τ, with ε covering the
+// rounding of both products (core/README.md, "Instance kernel", proves
+// it). 1 − Ŝ_k only shrinks as k grows, so the scan from the back stops at
+// the first fact that fails. `num_runs` is the number of recorded runs.
+size_t CreationLimit(const std::vector<ExpandedFact>& facts, size_t num_runs,
+                     double tau) {
+  const double epsilon =
+      4.0 * static_cast<double>(num_runs + 2) * 0x1p-53;
+  size_t limit = facts.size();
+  double suffix = 1.0;
+  while (limit > 0) {
+    suffix *= facts[limit - 1].keep;
+    if (!((1.0 - suffix) + epsilon < tau)) break;
+    --limit;
+  }
+  return limit;
+}
+
+// The plan step for one left instance: walks the relation directory of
+// every expanded y' within the fanout guard and records each run whose
+// Eq. (13) factor is below 1, computed once per run — the same expression
+// on the same operands as a per-fact evaluation, so the same bits. Runs
+// not recorded hold only facts that add no factor; their length goes to
+// `skipped`. Fills each fact's `runs_end` and `keep`. Returns false when a
+// factor lies outside [0, 1) — possible only with θ or a literal
+// probability above 1 — so that the bound of CreationLimit does not hold.
+bool PlanRuns(const ontology::Ontology& right,
+              const FactorCoefficientTable& coefficients,
+              size_t max_neighbor_fanout, InstanceShardScratch* scratch,
+              uint64_t* skipped) {
+  std::vector<NeighborRun>& runs = scratch->runs;
+  runs.clear();
+  bool bounded = true;
+  for (ExpandedFact& ef : scratch->facts) {
     const FactorCoefficients* row = coefficients.Row(ef.rel);
-    for (const Candidate& y_eq : ef.equivalents) {
-      const auto neighbor_facts = right.FactsAbout(y_eq.other);
-      if (neighbor_facts.size() > max_neighbor_fanout) continue;
-      visited += neighbor_facts.size();
-      for (const rdf::Fact& nf : neighbor_facts) {
-        // Adjacency entry nf = (rt, x') of y' encodes statement rt(y', x'),
-        // i.e. r'(x', y') with r' = rt⁻¹; the row is indexed by rt.
-        const FactorCoefficients& c = row[nf.rel];
-        if (c.skip) continue;
-        const uint32_t position = right.InstancePosition(nf.other);
-        if (position == ontology::Ontology::kNoInstance) continue;
+    double keep = 1.0;
+    for (uint32_t e = ef.begin; e < ef.end; ++e) {
+      const Candidate& y_eq = scratch->equivalents[e];
+      const auto cursor = right.store().CursorFor(y_eq.other);
+      const size_t degree = cursor.all().size();
+      if (degree > max_neighbor_fanout) continue;
+      *skipped += degree;
+      cursor.ForEachRun([&](rdf::RelId rt, std::span<const rdf::Fact> run) {
+        // Run (rt, x') of y' holds statements rt(y', x'), i.e. r'(x', y')
+        // with r' = rt⁻¹; the row is indexed by rt.
+        const FactorCoefficients& c = row[rt];
+        if (c.skip) return;
         const double factor =
             (1.0 - c.a * y_eq.prob) * (1.0 - c.b * y_eq.prob);
-        if (factor >= 1.0) continue;
-        scratch->Multiply(position, factor);
-      }
+        if (factor >= 1.0) return;
+        bounded = bounded && factor >= 0.0;
+        keep *= factor;
+        runs.push_back({run.data(), run.data() + run.size(), factor});
+        *skipped -= run.size();
+      });
+    }
+    ef.keep = keep;
+    ef.runs_end = static_cast<uint32_t>(runs.size());
+  }
+  return bounded;
+}
+
+// The accumulate step: multiplies the recorded runs' factors into the
+// products of x's candidates x', so that each key gets its factors in
+// fact, equivalent and neighbour order. Runs before `open_runs` may create
+// keys; later ones only multiply into live keys, and are not read at all
+// when none is live. Adds the facts read to `visited`, the facts not read
+// to `skipped`.
+void Accumulate(const ontology::Ontology& right, size_t open_runs,
+                InstanceShardScratch* scratch, uint64_t* visited,
+                uint64_t* skipped) {
+  StampedSlots& products = scratch->products;
+  const std::vector<NeighborRun>& runs = scratch->runs;
+  products.Next();
+  for (size_t k = 0; k < open_runs; ++k) {
+    const NeighborRun& run = runs[k];
+    *visited += static_cast<uint64_t>(run.end - run.begin);
+    for (const rdf::Fact* nf = run.begin; nf != run.end; ++nf) {
+      const uint32_t position = right.InstancePosition(nf->other);
+      if (position == ontology::Ontology::kNoInstance) continue;
+      products.Touch(position, 1.0) *= run.factor;
     }
   }
-  return visited;
+  const bool live = !products.touched().empty();
+  for (size_t k = open_runs; k < runs.size(); ++k) {
+    const NeighborRun& run = runs[k];
+    const auto length = static_cast<uint64_t>(run.end - run.begin);
+    if (!live) {
+      *skipped += length;
+      continue;
+    }
+    *visited += length;
+    for (const rdf::Fact* nf = run.begin; nf != run.end; ++nf) {
+      const uint32_t position = right.InstancePosition(nf->other);
+      if (position == ontology::Ontology::kNoInstance) continue;
+      if (double* product = products.Live(position)) *product *= run.factor;
+    }
+  }
 }
 
 // The negative-evidence multiplier of Eq. (14) for one candidate x'.
@@ -107,47 +161,47 @@ uint64_t AccumulatePositiveEvidence(
 // x' lacks, as §4.2 prescribes. Note the paper's Eq. (14) prints
 // Pr(x ≡ x') inside the inner product; following its derivation from
 // Eq. (6) it must be Pr(y ≡ y'), which is what we implement.
-double NegativeEvidenceFactor(
-    const std::vector<ExpandedFact>& facts, const ontology::Ontology& left,
-    const ontology::Ontology& right,
-    const std::unordered_map<rdf::RelId, std::pair<rdf::RelId, double>>&
-        right_sub_left,
-    const std::unordered_map<rdf::RelId, std::pair<rdf::RelId, double>>&
-        left_sub_right,
-    const AlignmentConfig& config, rdf::TermId x_prime) {
+double NegativeEvidenceFactor(const InstanceShardScratch& scratch,
+                              const ontology::Ontology& left,
+                              const ontology::Ontology& right,
+                              const std::vector<BestCounterpart>& right_sub_left,
+                              const std::vector<BestCounterpart>& left_sub_right,
+                              const AlignmentConfig& config,
+                              rdf::TermId x_prime) {
   const auto variant = config.functionality_variant;
+  const auto num_left = static_cast<rdf::RelId>(left.num_relations());
   // One dictionary lookup for x'; each r' range below is a probe of the
   // index's per-term relation directory (log of x''s *distinct relation*
   // count, not of its full degree — the win on hub entities).
   const auto cursor = right.store().CursorFor(x_prime);
 
   auto inner_product = [&](const ExpandedFact& ef, rdf::RelId r_prime) {
+    const Candidate* lo = scratch.equivalents.data() + ef.begin;
+    const Candidate* hi = scratch.equivalents.data() + ef.end;
     double inner = 1.0;
     for (const rdf::Fact& cf : cursor.FactsWith(r_prime)) {
-      // `equivalents` is sorted by term id (see RunShard).
-      auto it = std::lower_bound(
-          ef.equivalents.begin(), ef.equivalents.end(), cf.other,
+      // The fact's equivalents are sorted by term id (see RunShard).
+      const Candidate* it = std::lower_bound(
+          lo, hi, cf.other,
           [](const Candidate& c, rdf::TermId t) { return c.other < t; });
-      const double p =
-          it != ef.equivalents.end() && it->other == cf.other ? it->prob : 0.0;
+      const double p = it != hi && it->other == cf.other ? it->prob : 0.0;
       inner *= (1.0 - p);
     }
     return inner;
   };
 
   double result = 1.0;
-  for (const ExpandedFact& ef : facts) {
-    auto rl = right_sub_left.find(ef.rel);
-    if (rl != right_sub_left.end()) {
-      const auto [r_prime, score] = rl->second;
+  for (const ExpandedFact& ef : scratch.facts) {
+    const size_t row = static_cast<size_t>(ef.rel + num_left);
+    const BestCounterpart& rl = right_sub_left[row];
+    if (rl.rel != rdf::kNullRel) {
       const double fun_r = left.functionality().Global(ef.rel, variant);
-      result *= (1.0 - fun_r * score * inner_product(ef, r_prime));
+      result *= (1.0 - fun_r * rl.score * inner_product(ef, rl.rel));
     }
-    auto lr = left_sub_right.find(ef.rel);
-    if (lr != left_sub_right.end()) {
-      const auto [r_prime, score] = lr->second;
-      const double fun_rp = right.functionality().Global(r_prime, variant);
-      result *= (1.0 - fun_rp * score * inner_product(ef, r_prime));
+    const BestCounterpart& lr = left_sub_right[row];
+    if (lr.rel != rdf::kNullRel) {
+      const double fun_rp = right.functionality().Global(lr.rel, variant);
+      result *= (1.0 - fun_rp * lr.score * inner_product(ef, lr.rel));
     }
   }
   return result;
@@ -209,27 +263,33 @@ size_t InstancePass::Prepare(IterationContext& ctx) {
   // reading of Eq. (14), the product over *every* relation pair at score θ
   // multiplies hundreds of small penalties and extinguishes every match
   // before any real containment is known.
-  best_ = BestCounterparts{};
+  const auto num_left = static_cast<rdf::RelId>(ctx.left->num_relations());
+  right_sub_left_.assign(2 * static_cast<size_t>(num_left) + 1, {});
+  left_sub_right_.assign(2 * static_cast<size_t>(num_left) + 1, {});
   if (config.use_negative_evidence) {
-    auto update = [](auto& map, rdf::RelId key, rdf::RelId value,
-                     double score) {
-      auto [it, inserted] = map.emplace(key, std::make_pair(value, score));
-      if (!inserted && score > it->second.second) {
-        it->second = {value, score};
+    // Walks the entries in order: the first counterpart of r stays unless a
+    // later one scores strictly higher. A key outside ±[1, L] names no
+    // relation a left fact can carry, so it is never looked up.
+    auto update = [num_left](std::vector<BestCounterpart>& best,
+                             rdf::RelId key, rdf::RelId value, double score) {
+      if (key < -num_left || key > num_left) return;
+      BestCounterpart& slot = best[static_cast<size_t>(key + num_left)];
+      if (slot.rel == rdf::kNullRel || score > slot.score) {
+        slot = {value, score};
       }
     };
     for (const RelationAlignmentEntry& e : ctx.rel_scores->Entries()) {
       if (e.score <= config.theta) continue;
       if (e.sub_is_left) {
         // Pr(left e.sub ⊆ right e.super); also its inverted twin.
-        update(best_.left_sub_right, e.sub, e.super, e.score);
-        update(best_.left_sub_right, rdf::Inverse(e.sub),
-               rdf::Inverse(e.super), e.score);
+        update(left_sub_right_, e.sub, e.super, e.score);
+        update(left_sub_right_, rdf::Inverse(e.sub), rdf::Inverse(e.super),
+               e.score);
       } else {
         // Pr(right e.sub ⊆ left e.super).
-        update(best_.right_sub_left, e.super, e.sub, e.score);
-        update(best_.right_sub_left, rdf::Inverse(e.super),
-               rdf::Inverse(e.sub), e.score);
+        update(right_sub_left_, e.super, e.sub, e.score);
+        update(right_sub_left_, rdf::Inverse(e.super), rdf::Inverse(e.sub),
+               e.score);
       }
     }
   }
@@ -249,15 +309,13 @@ size_t InstancePass::Prepare(IterationContext& ctx) {
   results_[gen_].resize(layout_.total);
   if (!reuse_) {
     for (auto& slot : results_[gen_]) slot.clear();
+    seeded_[gen_].clear();
   }
   scratch_ = &ctx.ScratchSlots<InstanceShardScratch>();  // serial phase
   // One accumulator slot per right instance; a right-side delta adds
   // instances, so the size is re-checked every iteration.
-  const size_t right_instances = ctx.right->instances().size();
   for (InstanceShardScratch& scratch : *scratch_) {
-    if (scratch.slots.size() < right_instances) {
-      scratch.slots.resize(right_instances);
-    }
+    scratch.products.Reserve(ctx.right->instances().size());
   }
   if (ctx.obs.metrics != nullptr) {  // serial phase: registration may allocate
     entities_scored_ = ctx.obs.metrics->Counter("instance.entities_scored");
@@ -268,6 +326,8 @@ size_t InstancePass::Prepare(IterationContext& ctx) {
         ctx.obs.metrics->Counter("instance.candidates_emitted");
     neighbor_facts_visited_ =
         ctx.obs.metrics->Counter("instance.neighbor_facts_visited");
+    neighbor_facts_skipped_ =
+        ctx.obs.metrics->Counter("instance.neighbor_facts_skipped");
     keys_created_ = ctx.obs.metrics->Counter("instance.keys_created");
   }
   return layout_.num_shards;
@@ -277,12 +337,14 @@ void InstancePass::SeedResults(const ontology::Ontology& left,
                                const InstanceEquivalences& seed) {
   const std::vector<rdf::TermId>& instances = left.instances();
   have_merged_ = {false, false};
+  seed_ = seed;  // shares the finalized tables
+  seed_rows_.resize(instances.size());
+  for (size_t i = 0; i < instances.size(); ++i) {
+    seed_rows_[i] = seed_.LeftToRight(instances[i]);
+  }
   for (size_t g = 0; g < 2; ++g) {
     results_[g].assign(instances.size(), {});
-    for (size_t i = 0; i < instances.size(); ++i) {
-      const auto span = seed.LeftToRight(instances[i]);
-      results_[g][i].assign(span.begin(), span.end());
-    }
+    seeded_[g].assign(instances.size(), 1);
     have_results_[g] = true;
   }
 }
@@ -295,11 +357,14 @@ void InstancePass::RunShard(size_t shard, size_t worker,
   const std::vector<rdf::TermId>& instances = left.instances();
   const std::vector<rdf::TermId>& right_instances = right.instances();
   InstanceShardScratch& scratch = (*scratch_)[worker];
-  std::vector<ExpandedFact>& expanded = scratch.expanded;
+  std::vector<ExpandedFact>& facts = scratch.facts;
+  std::vector<Candidate>& equivalents = scratch.equivalents;
+  const StampedSlots& products = scratch.products;
 
   std::vector<std::vector<Candidate>>& results = results_[gen_];
   size_t computed = 0;
   uint64_t visited = 0;
+  uint64_t skipped = 0;
   uint64_t keys = 0;
   for (size_t i = layout_.begin(shard); i < layout_.end(shard); ++i) {
     // Clean instance: the retained slot (from the previous same-parity
@@ -308,41 +373,51 @@ void InstancePass::RunShard(size_t shard, size_t worker,
     const rdf::TermId x = instances[i];
     ++computed;
     results[i].clear();
-    expanded.clear();
+    if (!seeded_[gen_].empty()) seeded_[gen_][i] = 0;
+
+    // Expand: each fact r(x, y) with y's equivalents y' in one flat column.
+    facts.clear();
+    equivalents.clear();
     for (const rdf::Fact& f : left.FactsAbout(x)) {
       ExpandedFact ef;
       ef.rel = f.rel;
-      l2r_.AppendEquivalents(f.other, &ef.equivalents);
-      if (!ef.equivalents.empty() || config.use_negative_evidence) {
-        if (config.use_negative_evidence) {
-          // The sort only feeds NegativeEvidenceFactor's binary search;
-          // don't pay for it in the positive-only default mode.
-          std::sort(ef.equivalents.begin(), ef.equivalents.end(),
-                    [](const Candidate& a, const Candidate& b) {
-                      return a.other < b.other;
-                    });
-        }
-        expanded.push_back(std::move(ef));
-      }
-    }
-    if (expanded.empty()) continue;
-
-    scratch.NextInstance();
-    visited += AccumulatePositiveEvidence(expanded, right, coefficients_,
-                                          config.max_neighbor_fanout,
-                                          &scratch);
-    keys += scratch.touched.size();
-    if (scratch.touched.empty()) continue;
-
-    std::vector<Candidate> candidates;
-    candidates.reserve(scratch.touched.size());
-    for (const uint32_t position : scratch.touched) {
-      const rdf::TermId x_prime = right_instances[position];
-      double score = 1.0 - scratch.slots[position].product;
+      ef.begin = static_cast<uint32_t>(equivalents.size());
+      l2r_.AppendEquivalents(f.other, &equivalents);
+      ef.end = static_cast<uint32_t>(equivalents.size());
+      if (ef.begin == ef.end && !config.use_negative_evidence) continue;
       if (config.use_negative_evidence) {
-        score *= NegativeEvidenceFactor(expanded, left, right,
-                                        best_.right_sub_left,
-                                        best_.left_sub_right, config, x_prime);
+        // The sort only feeds NegativeEvidenceFactor's binary search;
+        // don't pay for it in the positive-only default mode.
+        std::sort(equivalents.begin() + ef.begin, equivalents.end(),
+                  [](const Candidate& a, const Candidate& b) {
+                    return a.other < b.other;
+                  });
+      }
+      facts.push_back(ef);
+    }
+    if (facts.empty()) continue;
+
+    // Plan, close key creation where the bound allows, accumulate.
+    const bool bounded = PlanRuns(right, coefficients_,
+                                  config.max_neighbor_fanout, &scratch,
+                                  &skipped);
+    const size_t limit =
+        bounded ? CreationLimit(facts, scratch.runs.size(),
+                                config.instance_threshold)
+                : facts.size();
+    Accumulate(right, limit == 0 ? 0 : facts[limit - 1].runs_end, &scratch,
+               &visited, &skipped);
+    keys += products.touched().size();
+    if (products.touched().empty()) continue;
+
+    std::vector<Candidate>& candidates = scratch.candidates;
+    candidates.clear();
+    for (const uint32_t position : products.touched()) {
+      const rdf::TermId x_prime = right_instances[position];
+      double score = 1.0 - products.value(position);
+      if (config.use_negative_evidence) {
+        score *= NegativeEvidenceFactor(scratch, left, right, right_sub_left_,
+                                        left_sub_right_, config, x_prime);
       }
       if (score >= config.instance_threshold) {
         candidates.push_back(Candidate{x_prime, score});
@@ -356,15 +431,18 @@ void InstancePass::RunShard(size_t shard, size_t worker,
     if (candidates.size() > config.max_candidates_per_instance) {
       candidates.resize(config.max_candidates_per_instance);
     }
-    results[i] = std::move(candidates);
+    // An exact-size copy: the slot outlives the iteration (two generations
+    // are retained), the scratch buffer's capacity does not need to.
+    results[i].assign(candidates.begin(), candidates.end());
   }
   if (ctx.obs.metrics != nullptr) {
     uint64_t with_candidates = 0;
     uint64_t emitted = 0;
     for (size_t i = layout_.begin(shard); i < layout_.end(shard); ++i) {
-      if (!results[i].empty()) {
+      const std::span<const Candidate> row = Row(gen_, i);
+      if (!row.empty()) {
         ++with_candidates;
-        emitted += results[i].size();
+        emitted += row.size();
       }
     }
     ctx.obs.metrics->Add(entities_scored_, worker, computed);
@@ -373,6 +451,7 @@ void InstancePass::RunShard(size_t shard, size_t worker,
     ctx.obs.metrics->Add(entities_with_candidates_, worker, with_candidates);
     ctx.obs.metrics->Add(candidates_emitted_, worker, emitted);
     ctx.obs.metrics->Add(neighbor_facts_visited_, worker, visited);
+    ctx.obs.metrics->Add(neighbor_facts_skipped_, worker, skipped);
     ctx.obs.metrics->Add(keys_created_, worker, keys);
   }
 }
@@ -386,10 +465,9 @@ void InstancePass::Merge(IterationContext& ctx) {
   // The slots stay in place: under semi_naive the next iteration reuses
   // them for instances its worklist marks clean.
   const bool keep = ctx.config->semi_naive;
-  const std::vector<std::vector<Candidate>>& results = results_[gen_];
   InstanceEquivalences equiv;
   for (size_t i = 0; i < layout_.total; ++i) {
-    equiv.Set(instances[i], results[i]);
+    equiv.Set(instances[i], Row(gen_, i));
   }
   equiv.Finalize();
   ctx.current = std::move(equiv);
@@ -401,8 +479,9 @@ void InstancePass::Merge(IterationContext& ctx) {
 void InstancePass::SaveShard(size_t shard, std::string* out) const {
   PayloadWriter writer;
   for (size_t i = layout_.begin(shard); i < layout_.end(shard); ++i) {
-    writer.U32(static_cast<uint32_t>(results_[gen_][i].size()));
-    for (const Candidate& c : results_[gen_][i]) {
+    const std::span<const Candidate> row = Row(gen_, i);
+    writer.U32(static_cast<uint32_t>(row.size()));
+    for (const Candidate& c : row) {
       writer.U32(c.other);
       writer.F64(c.prob);
     }
@@ -444,6 +523,7 @@ bool InstancePass::LoadShard(size_t shard, std::string_view bytes,
   if (!reader.AtEnd()) return false;
   for (size_t i = layout_.begin(shard); i < layout_.end(shard); ++i) {
     results_[gen_][i] = std::move(staged[i - layout_.begin(shard)]);
+    if (!seeded_[gen_].empty()) seeded_[gen_][i] = 0;
   }
   all_clean_ = false;
   return true;

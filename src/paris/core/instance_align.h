@@ -3,10 +3,10 @@
 
 #include <array>
 #include <cassert>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "paris/core/config.h"
@@ -60,6 +60,12 @@ class FactorCoefficientTable {
   size_t stride_ = 1;           // 2R + 1
 };
 
+// The counterpart r' of a left relation and its score Pr(⊆), for Eq. (14).
+struct BestCounterpart {
+  rdf::RelId rel = rdf::kNullRel;
+  double score = 0.0;
+};
+
 // The instance-equivalence pass (§4.1/§4.2 of the paper), one pipeline
 // stage per fixpoint iteration.
 //
@@ -68,7 +74,11 @@ class FactorCoefficientTable {
 // neighborhood-walk optimization of §5.2: traverse the statements r(x, y),
 // expand y to its known equivalents y', and visit the statements r'(x', y')
 // of the right ontology. Probabilities follow Eq. (13) (positive evidence),
-// optionally multiplied by the negative-evidence factor of Eq. (14).
+// optionally multiplied by the negative-evidence factor of Eq. (14). Only
+// the relation runs of y' that add a factor are read, and no (x, x') key is
+// created once the remaining factors provably cannot lift it to the
+// instance threshold (core/README.md, "Instance kernel", has the bound and
+// the proof that the output is unchanged).
 //
 // Inputs (bound in Prepare): `ctx.previous` — the *previous* iteration's
 // equivalence store — and `ctx.rel_scores` — Pr(r ⊆ r'), the θ-bootstrap
@@ -105,8 +115,9 @@ class InstancePass final : public Pass {
 
   // Seeds both generations of retained slots from a completed run's final
   // equivalence store so the *first* iterations can already reuse
-  // (incremental re-alignment, Aligner::Realign). Serial; call once before
-  // the run starts.
+  // (incremental re-alignment, Aligner::Realign). The slots share the
+  // store's rows instead of copying them. Serial; call once before the run
+  // starts.
   void SeedResults(const ontology::Ontology& left,
                    const InstanceEquivalences& seed);
 
@@ -118,26 +129,32 @@ class InstancePass final : public Pass {
                  IterationContext& ctx) override;
 
  private:
-  // The negative-evidence pass's per-relation maximally contained
-  // counterparts (§5.2), rebuilt in Prepare from the iteration's input
-  // scores. Keyed by signed left relation id: (right relation r', score).
-  struct BestCounterparts {
-    std::unordered_map<rdf::RelId, std::pair<rdf::RelId, double>>
-        right_sub_left;
-    std::unordered_map<rdf::RelId, std::pair<rdf::RelId, double>>
-        left_sub_right;
-  };
-
   ShardLayout layout_;
   DirectionalContext l2r_;
-  BestCounterparts best_;
+  // The negative-evidence pass's maximally contained counterpart (§5.2) of
+  // each signed left relation r, rebuilt in Prepare from the iteration's
+  // input scores: two dense arrays indexed by r + L (L left relations),
+  // one per containment direction. `rel` is kNullRel where r has none.
+  std::vector<BestCounterpart> right_sub_left_;
+  std::vector<BestCounterpart> left_sub_right_;
   FactorCoefficientTable coefficients_;
   // Candidate lists, one slot per left instance, filled by RunShard (or
-  // LoadShard) and copied by Merge. Two
+  // LoadShard) and copied by Merge; read them through Row. Two
   // generations, alternating per iteration: `results_[gen_]` is the active
   // one, the other holds the previous same-parity iteration's output for
-  // reuse. The vectors keep their capacity across iterations.
+  // reuse. Each slot holds exactly its candidates.
   std::array<std::vector<std::vector<Candidate>>, 2> results_;
+  // SeedResults' store and its left rows, one per instance. Slot i of
+  // generation g reads seed_rows_[i] while seeded_[g][i] is set, until
+  // RunShard or LoadShard writes the slot; seeded_[g] is empty when no
+  // slot of g is seeded.
+  InstanceEquivalences seed_;
+  std::vector<std::span<const Candidate>> seed_rows_;
+  std::array<std::vector<uint8_t>, 2> seeded_;
+  std::span<const Candidate> Row(size_t g, size_t i) const {
+    return !seeded_[g].empty() && seeded_[g][i] != 0 ? seed_rows_[i]
+                                                     : results_[g][i];
+  }
   // results_[g] holds a complete prior output (set by a semi_naive Merge or
   // SeedResults); precondition for reusing generation g.
   std::array<bool, 2> have_results_ = {false, false};
@@ -166,9 +183,11 @@ class InstancePass final : public Pass {
   obs::MetricId entities_reused_ = 0;
   obs::MetricId entities_with_candidates_ = 0;
   obs::MetricId candidates_emitted_ = 0;
-  // Facts of expanded neighbours y' examined, and distinct (x, x')
-  // accumulator entries created: the kernel's work.
+  // The kernel's work: facts of expanded neighbours y' read, facts of
+  // theirs passed over unread (runs that add no factor, or that follow the
+  // point where no key is live), and (x, x') accumulator keys created.
   obs::MetricId neighbor_facts_visited_ = 0;
+  obs::MetricId neighbor_facts_skipped_ = 0;
   obs::MetricId keys_created_ = 0;
 };
 

@@ -112,6 +112,10 @@ util::StatusOr<Ontology> LoadOntologySection(storage::SnapshotReader& reader,
   }
   for (const auto& [instance, classes] : onto.classes_of_) {
     for (rdf::TermId c : classes) {
+      // The class pass indexes its scratch by class position.
+      if (!onto.class_set_.contains(c)) {
+        return util::DataLossError("type names a term that is not a class");
+      }
       onto.instances_of_[c].push_back(instance);
     }
   }

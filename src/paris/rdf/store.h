@@ -136,6 +136,13 @@ class TripleStore {
     bool Contains(RelId rel, TermId other) const {
       return valid() && index_->Contains(local_, rel, other);
     }
+    // Calls fn(rel, facts) once per distinct relation of the term, in
+    // relation order, with the term's run of `rel` facts: a walk of its
+    // relation directory that reads no fact and does not allocate.
+    template <typename Fn>
+    void ForEachRun(Fn&& fn) const {
+      if (valid()) index_->ForEachRunOf(local_, fn);
+    }
 
    private:
     friend class TripleStore;

@@ -172,6 +172,21 @@ class ColumnarIndex {
     }
   }
 
+  // Calls fn(rel, facts) once per relation-directory row of term `local`,
+  // in relation order, where `facts` is the term's run of `rel` facts. The
+  // run's bounds come from the directory and the offsets: no fact is read
+  // and nothing allocates.
+  template <typename Fn>
+  void ForEachRunOf(uint32_t local, Fn&& fn) const {
+    const rdf::Fact* slice = facts_.data() + offsets_[local];
+    const DirEntry* hi = dir_.data() + dir_offsets_[local + 1];
+    for (const DirEntry* row = dir_.data() + dir_offsets_[local]; row != hi;
+         ++row) {
+      fn(row->rel, std::span<const rdf::Fact>(
+                       slice + row->begin, slice + RunEnd(local, row, hi)));
+    }
+  }
+
   // (first, second) pairs of positive relation `base` in [1, num_relations],
   // sorted by (first, second).
   std::span<const rdf::TermPair> PairsOf(rdf::RelId base) const {

@@ -215,6 +215,8 @@ TEST_F(ObsPipelineTest, MetricsDeterministicAcrossThreadAndShardCounts) {
                   std::string::npos);
         EXPECT_NE(reference.find("\"instance.neighbor_facts_visited\":"),
                   std::string::npos);
+        EXPECT_NE(reference.find("\"instance.neighbor_facts_skipped\":"),
+                  std::string::npos);
         EXPECT_NE(reference.find("\"instance.keys_created\":"),
                   std::string::npos);
         EXPECT_NE(reference.find("\"convergence.score_delta\""),

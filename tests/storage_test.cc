@@ -634,6 +634,14 @@ TEST_F(AlignmentSnapshotTest, RejectsInconsistentDictionariesBehindChecksum) {
     ASSERT_TRUE(
         rdf::TripleStore::LoadFrom(store_reader, &store_pool, version).ok());
     const size_t instances = rows_at(store_reader.position());
+    // Past the instance and class lists to the first type of the first
+    // classes_of entry.
+    std::vector<TermId> walk;
+    ASSERT_TRUE(store_reader.ReadPodVector(&walk));
+    ASSERT_TRUE(store_reader.ReadPodVector(&walk));
+    ASSERT_GT(store_reader.ReadU64(), 0u);
+    store_reader.ReadU32();
+    const size_t first_type = rows_at(store_reader.position());
 
     struct Case {
       const char* label;
@@ -650,6 +658,8 @@ TEST_F(AlignmentSnapshotTest, RejectsInconsistentDictionariesBehindChecksum) {
          "duplicate instance in snapshot"},
         {"instance past the pool", instances, pool_size,
          "ontology term id out of pool range"},
+        {"type naming an instance", first_type, left->instances()[0],
+         "type names a term that is not a class"},
     };
     for (const Case& c : cases) {
       std::string mutated = bytes;
