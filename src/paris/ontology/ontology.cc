@@ -163,6 +163,8 @@ util::StatusOr<Ontology> OntologyBuilder::Build(util::ThreadPool* pool,
   //    closure").
   ReachabilityCloser prop_closer(subprop_edges_);
 
+  obs::Span type_index_span(hooks.trace, hooks.main_slot(), "io",
+                            "ontology.type_index");
   // 2. Class partition. A resource is a class iff it appears as the object
   //    of rdf:type or as an argument of rdfs:subClassOf.
   auto add_class = [&](rdf::TermId c) -> util::Status {
@@ -212,9 +214,11 @@ util::StatusOr<Ontology> OntologyBuilder::Build(util::ThreadPool* pool,
   for (auto& [cls, members] : onto.instances_of_) {
     std::sort(members.begin(), members.end());
   }
+  type_index_span.End();
 
   // 5. Regular facts (with sub-property closure applied). Fact arguments
   //    that are IRIs and not classes become instances.
+  obs::Span facts_span(hooks.trace, hooks.main_slot(), "io", "ontology.facts");
   for (const RawFact& f : facts_) {
     if (pool_->IsLiteral(f.subject)) {
       return util::InvalidArgumentError(
@@ -232,9 +236,13 @@ util::StatusOr<Ontology> OntologyBuilder::Build(util::ThreadPool* pool,
       onto.AddInstance(f.object);
     }
   }
+  facts_span.End();
 
   onto.store_.Finalize(pool, hooks);
-  onto.RepackTypeIndexes();
+  {
+    obs::Span span(hooks.trace, hooks.main_slot(), "io", "ontology.repack");
+    onto.RepackTypeIndexes();
+  }
   {
     obs::Span span(hooks.trace, hooks.main_slot(), "io",
                    "ontology.functionality");

@@ -1,11 +1,11 @@
 #include "paris/rdf/ntriples.h"
 
 #include <cctype>
-#include <fstream>
 #include <ostream>
 #include <sstream>
 
-#include "paris/util/string_util.h"
+#include "paris/rdf/utf8.h"
+#include "paris/util/fs.h"
 
 namespace paris::rdf {
 
@@ -29,19 +29,21 @@ util::Status ParseError(const Cursor& c, std::string_view what) {
   return util::InvalidArgumentError(os.str());
 }
 
-// Decodes \-escapes inside an IRI or literal body.
+// Decodes \-escapes inside an IRI or literal body. Each run of plain bytes
+// up to the next escape or terminator is copied with one append.
 util::Status Unescape(Cursor& c, char terminator, std::string* out) {
   while (true) {
+    size_t end = c.pos;
+    while (end < c.text.size() && c.text[end] != terminator &&
+           c.text[end] != '\\') {
+      ++end;
+    }
+    out->append(c.text.data() + c.pos, end - c.pos);
+    c.pos = end;
     if (c.AtEnd()) return ParseError(c, "unterminated token");
-    char ch = c.text[c.pos];
-    if (ch == terminator) {
+    if (c.text[c.pos] == terminator) {
       ++c.pos;
       return util::OkStatus();
-    }
-    if (ch != '\\') {
-      out->push_back(ch);
-      ++c.pos;
-      continue;
     }
     ++c.pos;
     if (c.AtEnd()) return ParseError(c, "dangling escape");
@@ -83,23 +85,10 @@ util::Status Unescape(Cursor& c, char terminator, std::string* out) {
             return ParseError(c, "bad hex digit in \\u escape");
           }
         }
-        c.pos += ndigits;
-        // UTF-8 encode.
-        if (code < 0x80) {
-          out->push_back(static_cast<char>(code));
-        } else if (code < 0x800) {
-          out->push_back(static_cast<char>(0xc0 | (code >> 6)));
-          out->push_back(static_cast<char>(0x80 | (code & 0x3f)));
-        } else if (code < 0x10000) {
-          out->push_back(static_cast<char>(0xe0 | (code >> 12)));
-          out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
-          out->push_back(static_cast<char>(0x80 | (code & 0x3f)));
-        } else {
-          out->push_back(static_cast<char>(0xf0 | (code >> 18)));
-          out->push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3f)));
-          out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
-          out->push_back(static_cast<char>(0x80 | (code & 0x3f)));
+        if (!internal::AppendUtf8(code, out)) {
+          return ParseError(c, "\\u escape names no Unicode scalar value");
         }
+        c.pos += ndigits;
         break;
       }
       default:
@@ -135,7 +124,7 @@ util::Status ParseLiteralToken(Cursor& c, ParsedTriple* out) {
       ++c.pos;
     }
     if (c.pos == start) return ParseError(c, "empty language tag");
-    out->language = std::string(c.text.substr(start, c.pos - start));
+    out->language.assign(c.text.substr(start, c.pos - start));
   }
   return util::OkStatus();
 }
@@ -145,6 +134,12 @@ util::Status ParseLiteralToken(Cursor& c, ParsedTriple* out) {
 util::Status NTriplesParser::ParseLine(std::string_view line,
                                        ParsedTriple* out, bool* is_triple) {
   *is_triple = false;
+  out->subject.clear();
+  out->predicate.clear();
+  out->object.clear();
+  out->object_is_literal = false;
+  out->datatype.clear();
+  out->language.clear();
   Cursor c{line, 0};
   c.SkipSpace();
   if (c.AtEnd() || c.Peek() == '#') return util::OkStatus();
@@ -181,6 +176,9 @@ util::Status NTriplesParser::ParseLine(std::string_view line,
 
 util::Status NTriplesParser::ParseDocument(std::string_view text,
                                            TripleSink* sink) {
+  // One triple for the whole document: once its strings have grown to the
+  // longest fields seen, parsing a line allocates nothing.
+  ParsedTriple triple;
   size_t line_number = 0;
   size_t start = 0;
   while (start <= text.size()) {
@@ -189,7 +187,6 @@ util::Status NTriplesParser::ParseDocument(std::string_view text,
     if (end == std::string_view::npos) end = text.size();
     std::string_view line = text.substr(start, end - start);
     if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    ParsedTriple triple;
     bool is_triple = false;
     util::Status s = ParseLine(line, &triple, &is_triple);
     if (!s.ok()) {
@@ -205,11 +202,9 @@ util::Status NTriplesParser::ParseDocument(std::string_view text,
 
 util::Status NTriplesParser::ParseFile(const std::string& path,
                                        TripleSink* sink) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return util::NotFoundError("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseDocument(buffer.str(), sink);
+  util::StatusOr<std::string> text = util::ReadFile(path);
+  if (!text.ok()) return text.status();
+  return ParseDocument(*text, sink);
 }
 
 std::string EscapeLiteral(std::string_view s) {

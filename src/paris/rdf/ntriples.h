@@ -20,6 +20,8 @@ struct ParsedTriple {
   bool object_is_literal = false;
   std::string datatype;  // IRI of ^^<datatype>, or empty
   std::string language;  // @lang tag, or empty
+
+  friend bool operator==(const ParsedTriple&, const ParsedTriple&) = default;
 };
 
 // Receives statements from the parser. Implemented by `OntologyBuilder` and
@@ -27,6 +29,8 @@ struct ParsedTriple {
 class TripleSink {
  public:
   virtual ~TripleSink() = default;
+  // `triple` is valid only for the duration of the call: the parser reuses
+  // it for the next statement, so a sink copies (or interns) what it keeps.
   virtual void OnTriple(const ParsedTriple& triple) = 0;
 };
 
@@ -51,12 +55,14 @@ class NTriplesParser {
   // an error that names the 1-based line number.
   static util::Status ParseDocument(std::string_view text, TripleSink* sink);
 
-  // Parses a single line. Returns OK and sets `*is_triple=false` for blank /
-  // comment-only lines.
+  // Parses a single line into `*out`, whose six fields are reset first, so
+  // one triple can be reused across lines. Returns OK and sets
+  // `*is_triple=false` for blank / comment-only lines.
   static util::Status ParseLine(std::string_view line, ParsedTriple* out,
                                 bool* is_triple);
 
-  // Reads and parses a file from disk.
+  // Reads a file from disk (util::ReadFile: a directory is rejected) and
+  // parses it.
   static util::Status ParseFile(const std::string& path, TripleSink* sink);
 };
 

@@ -1,12 +1,12 @@
 #include "paris/rdf/turtle.h"
 
 #include <cctype>
-#include <fstream>
-#include <sstream>
 #include <unordered_map>
 #include <vector>
 
 #include "paris/ontology/vocab.h"
+#include "paris/rdf/utf8.h"
+#include "paris/util/fs.h"
 
 namespace paris::rdf {
 
@@ -186,21 +186,8 @@ class Scanner {
           }
           ++pos_;
         }
-        // UTF-8 encode.
-        if (code < 0x80) {
-          out->push_back(static_cast<char>(code));
-        } else if (code < 0x800) {
-          out->push_back(static_cast<char>(0xc0 | (code >> 6)));
-          out->push_back(static_cast<char>(0x80 | (code & 0x3f)));
-        } else if (code < 0x10000) {
-          out->push_back(static_cast<char>(0xe0 | (code >> 12)));
-          out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
-          out->push_back(static_cast<char>(0x80 | (code & 0x3f)));
-        } else {
-          out->push_back(static_cast<char>(0xf0 | (code >> 18)));
-          out->push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3f)));
-          out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
-          out->push_back(static_cast<char>(0x80 | (code & 0x3f)));
+        if (!internal::AppendUtf8(code, out)) {
+          return Error("unicode escape names no Unicode scalar value");
         }
         return util::OkStatus();
       }
@@ -553,11 +540,9 @@ util::Status TurtleParser::ParseDocument(std::string_view text,
 
 util::Status TurtleParser::ParseFile(const std::string& path,
                                      TripleSink* sink) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return util::NotFoundError("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseDocument(buffer.str(), sink);
+  util::StatusOr<std::string> text = util::ReadFile(path);
+  if (!text.ok()) return text.status();
+  return ParseDocument(*text, sink);
 }
 
 }  // namespace paris::rdf

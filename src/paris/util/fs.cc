@@ -1,5 +1,6 @@
 #include "paris/util/fs.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -16,6 +17,8 @@
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
+#else
+#include <filesystem>
 #endif
 
 namespace paris::util {
@@ -304,6 +307,65 @@ Status WriteFileAtomic(const std::string& path, std::string_view contents) {
   writer.stream().write(contents.data(),
                         static_cast<std::streamsize>(contents.size()));
   return writer.Commit();
+}
+
+StatusOr<std::string> ReadFile(const std::string& path) {
+  std::string bytes;
+#if PARIS_HAS_POSIX_IO
+  const int fd = static_cast<int>(RetryTransient([&] {
+    return static_cast<long>(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+  }));
+  if (fd < 0) {
+    return NotFoundError("cannot open " + path + ": " + std::strerror(errno));
+  }
+  struct Closer {
+    int fd;
+    ~Closer() { ::close(fd); }
+  } closer{fd};
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    return InternalError("cannot stat " + path + ": " + std::strerror(errno));
+  }
+  if (S_ISDIR(st.st_mode)) {
+    return InvalidArgumentError("cannot read " + path + ": is a directory");
+  }
+  // One spare byte lets a regular file's EOF read land without a regrow.
+  if (S_ISREG(st.st_mode)) bytes.reserve(static_cast<size_t>(st.st_size) + 1);
+  constexpr size_t kMinRead = 64 << 10;
+  size_t size = 0;
+  while (true) {
+    if (size == bytes.size()) {
+      bytes.resize(std::max(bytes.capacity(), size + kMinRead));
+    }
+    const long n = RetryTransient([&] {
+      return static_cast<long>(
+          ::read(fd, bytes.data() + size, bytes.size() - size));
+    });
+    if (n < 0) {
+      return InternalError("read failed for " + path + ": " +
+                           std::strerror(errno));
+    }
+    if (n == 0) break;
+    size += static_cast<size_t>(n);
+  }
+  bytes.resize(size);
+#else
+  std::error_code ec;
+  if (std::filesystem::is_directory(path, ec)) {
+    return InvalidArgumentError("cannot read " + path + ": is a directory");
+  }
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) return NotFoundError("cannot open " + path);
+  char chunk[1 << 16];
+  size_t n;
+  while ((n = std::fread(chunk, 1, sizeof(chunk), file)) > 0) {
+    bytes.append(chunk, n);
+  }
+  const bool failed = std::ferror(file) != 0;
+  std::fclose(file);
+  if (failed) return InternalError("read failed for " + path);
+#endif
+  return bytes;
 }
 
 }  // namespace paris::util

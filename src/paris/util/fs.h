@@ -61,6 +61,13 @@ class AtomicFileWriter {
 // Atomically replaces `path` with `contents` (AtomicFileWriter one-shot).
 Status WriteFileAtomic(const std::string& path, std::string_view contents);
 
+// Reads all of `path` into one buffer. A path that cannot be opened is
+// NotFound and a directory is InvalidArgument, both naming the path. A
+// regular file's buffer is reserved at its size; anything else (a pipe,
+// process substitution) is read to EOF. EINTR/EAGAIN are retried under the
+// transient-errno policy above; any other read error is returned.
+StatusOr<std::string> ReadFile(const std::string& path);
+
 // Process-wide count of transient IO errors (EINTR/EAGAIN) that were
 // retried. Exported as the `io_retries` recovery gauge.
 uint64_t IoRetryCount();

@@ -2,6 +2,7 @@
 
 #include <condition_variable>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -137,6 +138,30 @@ TEST_F(ApiSessionTest, LoadFromFilesNonexistentReportsPath) {
   EXPECT_FALSE(session.loaded());
   // The session stays usable after a failed load.
   EXPECT_TRUE(session.LoadFromFiles(left_path(), right_path()).ok());
+}
+
+// std::ifstream opens a directory and reads nothing from it, which once
+// loaded an empty ontology; both inputs and deltas must reject it.
+TEST_F(ApiSessionTest, DirectoryInputsAreRejected) {
+  const std::string dir = TempPath("api_dir_input.nt");
+  std::filesystem::create_directories(dir);
+  Session session(FixedWorkOptions(1));
+  const auto load = session.LoadFromFiles(dir, dir);
+  EXPECT_EQ(load.code(), StatusCode::kInvalidArgument) << load.ToString();
+  EXPECT_NE(load.message().find(dir), std::string::npos);
+  EXPECT_FALSE(session.loaded());
+
+  ASSERT_TRUE(session.LoadFromFiles(left_path(), right_path()).ok());
+  ASSERT_TRUE(session.Align().ok());
+  const size_t left_triples = session.left().num_triples();
+  const size_t left_instances = session.left().instances().size();
+  const auto delta = session.ApplyDelta(Session::DeltaSide::kLeft, dir);
+  EXPECT_EQ(delta.code(), StatusCode::kInvalidArgument) << delta.ToString();
+  EXPECT_EQ(session.num_staged_deltas(), 0u);
+  EXPECT_EQ(session.Realign().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(session.left().num_triples(), left_triples);
+  EXPECT_EQ(session.left().instances().size(), left_instances);
+  std::filesystem::remove(dir);
 }
 
 TEST_F(ApiSessionTest, MethodsBeforeLoadFailCleanly) {

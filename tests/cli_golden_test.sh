@@ -144,6 +144,17 @@ for t in instances relations classes; do
   check "matcher-fuzzy_${t}.tsv" "mt_${t}.tsv"
 done
 
+# --- a directory is not an input file --------------------------------------
+# Reading a directory as a stream yields no bytes; paris_align must exit 1
+# instead of aligning two empty ontologies.
+mkdir -p dir_input.nt
+"$ALIGN" dir_input.nt dir_input.nt --output dirrun > /dev/null 2> stderr.txt
+status=$?
+if [ "$status" -ne 1 ]; then
+  echo "FAIL: paris_align on a directory exited $status, want 1" >&2
+  failures=$((failures + 1))
+fi
+
 if [ "$UPDATE" = "--update" ]; then
   echo "goldens updated in $GOLDEN"
   exit 0

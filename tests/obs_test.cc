@@ -95,6 +95,27 @@ TEST(TraceTest, IndexBuildEmitsIoSpans) {
   }
 }
 
+TEST(TraceTest, OntologyBuildEmitsIoSpans) {
+  rdf::TermPool pool;
+  ontology::OntologyBuilder builder(&pool, "left");
+  builder.AddType("a", "C");
+  builder.AddSubClassOf("C", "D");
+  builder.AddFact("a", "r", "b");
+  builder.AddLiteralFact("a", "name", "A");
+  obs::TraceRecorder recorder(1);
+  ASSERT_TRUE(builder.Build(nullptr, {&recorder, nullptr}).ok());
+  std::ostringstream out;
+  recorder.WriteJson(out);
+  const std::string json = out.str();
+  for (const char* name :
+       {"ontology.type_index", "ontology.facts", "index.build",
+        "ontology.repack", "ontology.functionality"}) {
+    EXPECT_NE(json.find(std::string("\"name\":\"") + name + "\""),
+              std::string::npos)
+        << name;
+  }
+}
+
 TEST(TraceTest, NullRecorderSpanStillTimes) {
   obs::Span span(nullptr, 0, "bench", "timer");
   const double first = span.End();

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <optional>
 #include <random>
@@ -9,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "fifo_writer.h"
 #include "paris/rdf/ntriples.h"
 #include "paris/rdf/store.h"
 #include "paris/rdf/term.h"
@@ -420,16 +424,193 @@ TEST(NTriplesTest, WriterRoundTrip) {
   NTriplesWriter::WriteTriples(sink.triples(), out);
   VectorTripleSink sink2;
   ASSERT_TRUE(NTriplesParser::ParseDocument(out.str(), &sink2).ok());
-  ASSERT_EQ(sink.triples().size(), sink2.triples().size());
-  for (size_t i = 0; i < sink.triples().size(); ++i) {
-    EXPECT_EQ(sink.triples()[i].subject, sink2.triples()[i].subject);
-    EXPECT_EQ(sink.triples()[i].predicate, sink2.triples()[i].predicate);
-    EXPECT_EQ(sink.triples()[i].object, sink2.triples()[i].object);
-    EXPECT_EQ(sink.triples()[i].object_is_literal,
-              sink2.triples()[i].object_is_literal);
-    EXPECT_EQ(sink.triples()[i].datatype, sink2.triples()[i].datatype);
-    EXPECT_EQ(sink.triples()[i].language, sink2.triples()[i].language);
+  ASSERT_EQ(sink.triples().size(), 4u);
+  EXPECT_EQ(sink.triples(), sink2.triples());
+}
+
+// Parses `line` into a fresh triple.
+ParsedTriple ParseFresh(std::string_view line, bool* is_triple) {
+  ParsedTriple t;
+  const util::Status s = NTriplesParser::ParseLine(line, &t, is_triple);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return t;
+}
+
+// The document parser hands every line the same triple, so ParseLine must
+// reset all six fields: a typed literal's datatype must not survive into a
+// language-tagged one, nor either into an IRI object.
+TEST(NTriplesTest, ReusedTripleEqualsFreshParse) {
+  const std::string_view lines[] = {
+      "<ex:a> <ex:age> \"42\"^^<http://www.w3.org/2001/XMLSchema#int> .",
+      "<ex:b> <ex:label> \"Londres\"@fr .",
+      "<ex:c> <ex:knows> <ex:d> .",
+      "# a comment line",
+      "<ex:e> <ex:label> \"plain\" .",
+  };
+  ParsedTriple reused;
+  for (const std::string_view line : lines) {
+    bool reused_is_triple = false;
+    ASSERT_TRUE(
+        NTriplesParser::ParseLine(line, &reused, &reused_is_triple).ok());
+    bool fresh_is_triple = false;
+    const ParsedTriple fresh = ParseFresh(line, &fresh_is_triple);
+    EXPECT_EQ(reused_is_triple, fresh_is_triple) << line;
+    EXPECT_EQ(reused, fresh) << line << "\n  reused: "
+                             << NTriplesWriter::FormatTriple(reused);
   }
+}
+
+// Escapes at every position of a run, pinned to their decoded fields.
+TEST(NTriplesTest, EscapeRunsDecodeToPinnedFields) {
+  struct Case {
+    std::string_view line;
+    std::string_view subject, predicate, object;
+    bool literal;
+  };
+  const Case cases[] = {
+      // IRIs: escape at the start, in the middle, at the end, adjacent.
+      {R"(<\u0041b> <a\u0042c> <ab\u0043> .)", "Ab", "aBc", "abC", false},
+      {R"(<\u0041\u0042> <p> <\U0001F600> .)", "AB", "p", "\xF0\x9F\x98\x80",
+       false},
+      // Literals: escape at the start, in the middle, at the end.
+      {R"(<s> <p> "\tx" .)", "s", "p", "\tx", true},
+      {R"(<s> <p> "x\ny" .)", "s", "p", "x\ny", true},
+      {R"(<s> <p> "xy\\" .)", "s", "p", "xy\\", true},
+      // Adjacent escapes, and \" just before the closing quote.
+      {R"(<s> <p> "a\\\"\n\tb" .)", "s", "p", "a\\\"\n\tb", true},
+      {R"(<s> <p> "say \"hi\"" .)", "s", "p", "say \"hi\"", true},
+      // An empty literal, and one made only of escapes.
+      {R"(<s> <p> "" .)", "s", "p", "", true},
+      {R"(<s> <p> "\u00E9\t\\\"\r" .)", "s", "p", "\xC3\xA9\t\\\"\r", true},
+  };
+  for (const Case& c : cases) {
+    bool is_triple = false;
+    const ParsedTriple t = ParseFresh(c.line, &is_triple);
+    EXPECT_TRUE(is_triple) << c.line;
+    EXPECT_EQ(t.subject, c.subject) << c.line;
+    EXPECT_EQ(t.predicate, c.predicate) << c.line;
+    EXPECT_EQ(t.object, c.object) << c.line;
+    EXPECT_EQ(t.object_is_literal, c.literal) << c.line;
+    EXPECT_TRUE(t.datatype.empty()) << c.line;
+    EXPECT_TRUE(t.language.empty()) << c.line;
+  }
+}
+
+TEST(NTriplesTest, UnicodeEscapesMustNameScalarValues) {
+  bool is_triple = false;
+  EXPECT_EQ(ParseFresh(R"(<s> <p> "\U0010FFFF" .)", &is_triple).object,
+            "\xF4\x8F\xBF\xBF");
+  EXPECT_EQ(ParseFresh(R"(<s> <p> "\u00E9" .)", &is_triple).object,
+            "\xC3\xA9");
+  EXPECT_EQ(ParseFresh(R"(<s> <p> "\uD7FF\uE000" .)", &is_triple).object,
+            "\xED\x9F\xBF\xEE\x80\x80");
+  for (const std::string_view line :
+       {R"(<s> <p> "x\U00110000y" .)", R"(<s> <p> "\uD800" .)",
+        R"(<s> <p> "\uDFFF" .)", R"(<s> <p> "\U00200000" .)",
+        R"(<s\uDBFF> <p> <o> .)", R"(<s> <p> "\UFFFFFFFF" .)"}) {
+    ParsedTriple t;
+    const util::Status s = NTriplesParser::ParseLine(line, &t, &is_triple);
+    EXPECT_EQ(s.code(), util::StatusCode::kInvalidArgument) << line;
+    EXPECT_NE(s.message().find("no Unicode scalar value"), std::string::npos)
+        << s.ToString();
+  }
+  // The column names the escape's first hex digit, as the other \u errors do.
+  VectorTripleSink sink;
+  const util::Status s = NTriplesParser::ParseDocument(
+      "<ex:s> <ex:p> <ex:o> .\n<ex:s> <ex:p> \"x\\U00110000y\" .\n", &sink);
+  EXPECT_EQ(s.message(),
+            "line 2: \\u escape names no Unicode scalar value at column 19 "
+            "in: <ex:s> <ex:p> \"x\\U00110000y\" .");
+}
+
+// Each malformed line keeps the line and column its error named before the
+// run scan: the scan stops where the byte loop met the terminator, a
+// backslash or the end of the line.
+TEST(NTriplesTest, MalformedLineKeepsLineAndColumn) {
+  const std::pair<std::string_view, std::string_view> cases[] = {
+      {"<ex:a> <ex:p> <ex:b> .\n\n<ex:a> <ex:p> \"abc\n",
+       "line 3: unterminated token at column 19 in: <ex:a> <ex:p> \"abc"},
+      {"<ex:a> <ex:p> \"ab\\qcd\" .\r\n",
+       "line 1: unknown escape at column 20 in: <ex:a> <ex:p> \"ab\\qcd\" ."},
+      {"# c\n<ex:a> <ex:p> \"ab\\",
+       "line 2: dangling escape at column 19 in: <ex:a> <ex:p> \"ab\\"},
+      {"<ex:a> <ex:p",
+       "line 1: unterminated token at column 13 in: <ex:a> <ex:p"},
+      {"<ex:a> <ex:p> <ex:b> . x\r\n",
+       "line 1: trailing content after '.' at column 24 in: "
+       "<ex:a> <ex:p> <ex:b> . x"},
+      {"<ex:a> <ex:p> \"\\u00",
+       "line 1: truncated \\u escape at column 18 in: <ex:a> <ex:p> \"\\u00"},
+      {"<ex:a> <ex:p> \"\\u00G9\" .",
+       "line 1: bad hex digit in \\u escape at column 18 in: "
+       "<ex:a> <ex:p> \"\\u00G9\" ."},
+      {"<ex:a> <ex:p> \"x\"^^<ex:t .",
+       "line 1: unterminated token at column 27 in: <ex:a> <ex:p> "
+       "\"x\"^^<ex:t ."},
+  };
+  for (const auto& [doc, message] : cases) {
+    VectorTripleSink sink;
+    const util::Status s = NTriplesParser::ParseDocument(doc, &sink);
+    EXPECT_EQ(s.code(), util::StatusCode::kInvalidArgument) << doc;
+    EXPECT_EQ(s.message(), message);
+  }
+}
+
+// ParseFile reads the bytes ParseDocument is given: CRLF line ends,
+// comments, blank lines and a missing final newline.
+TEST(NTriplesTest, ParseFileEqualsParseDocument) {
+  const std::string doc =
+      "# header\r\n"
+      "<ex:a> <ex:p> <ex:b> .\r\n"
+      "\r\n"
+      "   \n"
+      "<ex:b> <ex:label> \"B \\u00E9\"@en .\n"
+      "  # indented comment\n"
+      "<ex:b> <ex:age> \"7\"^^<xsd:int> .";
+  const std::string path = ::testing::TempDir() + "/rdf_test_parse_file.nt";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << doc;
+  }
+  VectorTripleSink from_file;
+  VectorTripleSink from_text;
+  const util::Status s = NTriplesParser::ParseFile(path, &from_file);
+  std::remove(path.c_str());
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_TRUE(NTriplesParser::ParseDocument(doc, &from_text).ok());
+  ASSERT_EQ(from_text.triples().size(), 3u);
+  EXPECT_EQ(from_file.triples(), from_text.triples());
+}
+
+TEST(NTriplesTest, ParseFileRejectsDirectory) {
+  const std::string dir = ::testing::TempDir() + "/rdf_test_dir.nt";
+  std::filesystem::create_directories(dir);
+  VectorTripleSink sink;
+  const util::Status s = NTriplesParser::ParseFile(dir, &sink);
+  EXPECT_EQ(s.code(), util::StatusCode::kInvalidArgument) << s.ToString();
+  EXPECT_NE(s.message().find(dir), std::string::npos) << s.ToString();
+  EXPECT_TRUE(sink.triples().empty());
+  std::filesystem::remove(dir);
+}
+
+// A pipe has no size up front: the read runs to EOF, through more than one
+// 64 KiB read.
+TEST(NTriplesTest, ParseFileReadsFifoToEof) {
+  std::string doc;
+  for (int i = 0; i < 4000; ++i) {
+    doc += "<ex:s" + std::to_string(i) + "> <ex:label> \"value number " +
+           std::to_string(i) + "\" .\n";
+  }
+  ASSERT_GT(doc.size(), size_t{2} << 16);
+  testing_util::FifoWriter fifo(::testing::TempDir() + "/rdf_test.fifo", doc);
+  ASSERT_TRUE(fifo.created());
+  VectorTripleSink from_fifo;
+  const util::Status s = NTriplesParser::ParseFile(fifo.path(), &from_fifo);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  VectorTripleSink from_text;
+  ASSERT_TRUE(NTriplesParser::ParseDocument(doc, &from_text).ok());
+  ASSERT_EQ(from_text.triples().size(), 4000u);
+  EXPECT_EQ(from_fifo.triples(), from_text.triples());
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+
+#include "fifo_writer.h"
 #include "paris/ontology/ontology.h"
 #include "paris/rdf/turtle.h"
 
@@ -168,6 +172,59 @@ TEST(TurtleTest, FeedsOntologyBuilder) {
   const auto elvis = pool.Find("http://e.org/elvis", TermKind::kIri);
   ASSERT_TRUE(elvis.has_value());
   EXPECT_EQ(onto->ClassesOf(*elvis).size(), 2u);  // Singer + Person (closure)
+}
+
+TEST(TurtleTest, UnicodeEscapesMustNameScalarValues) {
+  auto triples = Parse(
+      "<u:s> <u:p> \"\\U0010FFFF\" , \"\\u00E9\" .\n"
+      "<u:s\\u0041> <u:p> <u:\\U0001F600> .\n");
+  ASSERT_EQ(triples.size(), 3u);
+  EXPECT_EQ(triples[0].object, "\xF4\x8F\xBF\xBF");
+  EXPECT_EQ(triples[1].object, "\xC3\xA9");
+  EXPECT_EQ(triples[2].subject, "u:sA");
+  EXPECT_EQ(triples[2].object, "u:\xF0\x9F\x98\x80");
+  for (const char* body : {"\"x\\U00110000y\"", "\"\\uD800\"", "\"\\uDFFF\"",
+                           "\"\\U00200000\"", "<u:\\uDBFF>"}) {
+    VectorTripleSink sink;
+    const util::Status s = TurtleParser::ParseDocument(
+        std::string("<u:s> <u:p> <u:o> .\n<u:s> <u:p> ") + body + " .\n",
+        &sink);
+    EXPECT_EQ(s.code(), util::StatusCode::kInvalidArgument) << body;
+    EXPECT_EQ(s.message(),
+              "line 2: unicode escape names no Unicode scalar value")
+        << body;
+  }
+}
+
+TEST(TurtleTest, ParseFileRejectsDirectory) {
+  const std::string dir = ::testing::TempDir() + "/turtle_test_dir.ttl";
+  std::filesystem::create_directories(dir);
+  VectorTripleSink sink;
+  const util::Status s = TurtleParser::ParseFile(dir, &sink);
+  EXPECT_EQ(s.code(), util::StatusCode::kInvalidArgument) << s.ToString();
+  EXPECT_NE(s.message().find(dir), std::string::npos) << s.ToString();
+  EXPECT_TRUE(sink.triples().empty());
+  std::filesystem::remove(dir);
+}
+
+// A pipe has no size up front: the read runs to EOF, through more than one
+// 64 KiB read.
+TEST(TurtleTest, ParseFileReadsFifoToEof) {
+  std::string doc = "@prefix ex: <http://e.org/> .\n";
+  for (int i = 0; i < 4000; ++i) {
+    doc += "ex:s" + std::to_string(i) + " ex:label \"value number " +
+           std::to_string(i) + "\" ; a ex:Thing .\n";
+  }
+  ASSERT_GT(doc.size(), size_t{2} << 16);
+  testing_util::FifoWriter fifo(::testing::TempDir() + "/turtle_test.fifo",
+                                doc);
+  ASSERT_TRUE(fifo.created());
+  VectorTripleSink from_fifo;
+  const util::Status s = TurtleParser::ParseFile(fifo.path(), &from_fifo);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  const std::vector<ParsedTriple> from_text = Parse(doc);
+  ASSERT_EQ(from_text.size(), 8000u);
+  EXPECT_EQ(from_fifo.triples(), from_text);
 }
 
 }  // namespace
